@@ -97,7 +97,7 @@ func expFP16() Experiment {
 			var f32Res *core.Result
 			dF32, err := timed(func() error {
 				var err error
-				f32Res, err = core.NLJ(ctx, left, right, threshold, opts)
+				f32Res, err = core.TensorJoin(ctx, left, right, threshold, opts)
 				return err
 			})
 			if err != nil {
@@ -118,7 +118,7 @@ func expFP16() Experiment {
 			t.addRow("FP32", fmtBytes(left.SizeBytes()+right.SizeBytes()), ms(dF32), fmt.Sprintf("%d", len(f32Res.Matches)))
 			t.addRow("FP16", fmtBytes(hl.SizeBytes()+hr.SizeBytes()), ms(dF16), fmt.Sprintf("%d", len(f16Res.Matches)))
 			t.print(w)
-			fmt.Fprintf(w, "\nShape check: FP16 halves storage; in pure Go conversion costs compute (hardware FP16 would reclaim it). Match counts agree within quantization slack (%d vs %d).\n",
+			fmt.Fprintf(w, "\nShape check: FP16 halves storage; both rows run the same tiled GEMM, FP16 decoding each panel once, so time stays close to FP32. Match counts agree within quantization slack (%d vs %d).\n",
 				len(f32Res.Matches), len(f16Res.Matches))
 			return nil
 		},

@@ -12,6 +12,7 @@ import (
 	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
+	"ejoin/internal/quant"
 	"ejoin/internal/vec"
 )
 
@@ -47,6 +48,14 @@ func TestScanOperatorsObserveCancelledContext(t *testing.T) {
 			o := opts
 			o.BatchRows, o.BatchCols = 8, 8
 			_, err := TensorJoin(ctx, left, right, 0.5, o)
+			return err
+		},
+		"NLJF16": func() error {
+			_, err := NLJF16(ctx, mat.EncodeF16(left), mat.EncodeF16(right), 0.5, opts)
+			return err
+		},
+		"NLJI8": func() error {
+			_, err := NLJI8(ctx, quant.EncodeInt8(left), quant.EncodeInt8(right), 0.5, opts)
 			return err
 		},
 		"TensorTopK": func() error {
@@ -115,24 +124,39 @@ func TestNLJChecksContextMidRow(t *testing.T) {
 	}
 }
 
-// TestTensorJoinCancelsAtBlockBoundary: the blocked tensor join polls per
-// mini-batch, so a cancellation arriving mid-join aborts at the next
-// block boundary instead of finishing the scan.
+// TestTensorJoinCancelsAtBlockBoundary: the blocked threshold driver
+// polls per mini-batch, so a cancellation arriving mid-join aborts at the
+// next block boundary instead of finishing the scan — at every precision.
 func TestTensorJoinCancelsAtBlockBoundary(t *testing.T) {
 	left := randMatrix(t, 64, 8, 5)
 	right := randMatrix(t, 64, 8, 6)
 	opts := Options{Kernel: vec.KernelScalar, Threads: 1, BatchRows: 8, BatchCols: 8}
-	// 64 blocks; allow a couple of polls, then cancel.
-	ctx := newCountdownCtx(3)
-	_, err := TensorJoin(ctx, left, right, 0.5, opts)
-	if err == nil {
-		t.Fatal("tensor join completed despite cancellation after 3 blocks")
+	scans := map[string]func(context.Context) error{
+		"f32": func(ctx context.Context) error {
+			_, err := TensorJoin(ctx, left, right, 0.5, opts)
+			return err
+		},
+		"f16": func(ctx context.Context) error {
+			_, err := NLJF16(ctx, mat.EncodeF16(left), mat.EncodeF16(right), 0.5, opts)
+			return err
+		},
+		"int8": func(ctx context.Context) error {
+			_, err := NLJI8(ctx, quant.EncodeInt8(left), quant.EncodeInt8(right), 0.5, opts)
+			return err
+		},
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	if !strings.Contains(err.Error(), "cancelled at block") {
-		t.Errorf("error %q should report the block boundary it stopped at", err)
+	for name, scan := range scans {
+		// 64 blocks; allow a couple of polls, then cancel.
+		err := scan(newCountdownCtx(3))
+		if err == nil {
+			t.Fatalf("%s: scan completed despite cancellation after 3 blocks", name)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v does not wrap context.Canceled", name, err)
+		}
+		if !strings.Contains(err.Error(), "cancelled at block") {
+			t.Errorf("%s: error %q should report the block boundary it stopped at", name, err)
+		}
 	}
 }
 

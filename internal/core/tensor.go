@@ -19,31 +19,54 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 	if left.Cols() != right.Cols() {
 		return nil, fmt.Errorf("core: tensor join dimensionality mismatch: %d vs %d", left.Cols(), right.Cols())
 	}
+	return thresholdJoin(ctx, "tensor join", left, right, nil, nil, threshold, opts)
+}
+
+// thresholdJoin is the one threshold-join driver behind every scan
+// precision: mat.ForEachBlock feeds the register-tiled GEMM, which decodes
+// narrow operands (F16, int8 codes) panel by panel into float32 scratch,
+// and the emit loop below turns each block into matches. ls/rs, when
+// non-nil, are per-row scales of integer-code operands: the block then
+// holds exact code dots, rescaled here with the expression quant.SimInt8
+// uses, so int8 similarities are bit-identical to the per-pair kernel.
+//
+// Every cell accumulates over k in ascending order (the GEMM's determinism
+// contract), so a similarity depends only on its two rows and on d — never
+// on Threads, batch shapes or how a caller splits the probe side.
+// Comparisons counts the pairs both filters admit.
+func thresholdJoin(ctx context.Context, name string, left, right mat.Operand, ls, rs []float32, threshold float32, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	batch := mat.BatchOptions{
-		Gemm: mat.GemmOptions{
-			Threads: opts.Threads,
-			Kernel:  opts.Kernel,
-		},
-		BudgetBytes: opts.BudgetBytes,
-		BatchRows:   opts.BatchRows,
-		BatchCols:   opts.BatchCols,
-	}
+	batch := batchOptions(opts)
 	res.Stats.PeakIntermediateBytes = mat.PeakBlockBytes(left.Rows(), right.Rows(), batch)
 
 	err := mat.ForEachBlock(left, right, batch, func(block *mat.Matrix, rOff, sOff int) error {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: tensor join cancelled at block (%d,%d): %w", rOff, sOff, err)
+			return fmt.Errorf("core: %s cancelled at block (%d,%d): %w", name, rOff, sOff, err)
 		}
 		res.Stats.Blocks++
-		res.Stats.Comparisons += int64(block.Rows()) * int64(block.Cols())
+		rightPairs := int64(block.Cols())
+		if opts.RightFilter != nil {
+			rightPairs = 0
+			for j := 0; j < block.Cols(); j++ {
+				if opts.RightFilter.Get(sOff + j) {
+					rightPairs++
+				}
+			}
+		}
 		for i := 0; i < block.Rows(); i++ {
 			gi := rOff + i
 			if opts.LeftFilter != nil && !opts.LeftFilter.Get(gi) {
 				continue
 			}
+			res.Stats.Comparisons += rightPairs
 			row := block.Row(i)
+			if ls != nil {
+				sa, sb := ls[gi], rs[sOff:sOff+len(row)]
+				for j := range row {
+					row[j] = row[j] * sa * sb[j]
+				}
+			}
 			for j, sim := range row {
 				if sim >= threshold {
 					gj := sOff + j
@@ -62,6 +85,16 @@ func TensorJoin(ctx context.Context, left, right *mat.Matrix, threshold float32,
 	sortMatches(res.Matches)
 	res.Stats.JoinTime = time.Since(start)
 	return res, nil
+}
+
+// batchOptions maps the scan options onto the blocked GEMM's.
+func batchOptions(opts Options) mat.BatchOptions {
+	return mat.BatchOptions{
+		Gemm:        mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel},
+		BudgetBytes: opts.BudgetBytes,
+		BatchRows:   opts.BatchRows,
+		BatchCols:   opts.BatchCols,
+	}
 }
 
 // TensorJoinNonBatched is the ablation of Figure 12: the left relation is
@@ -93,12 +126,7 @@ func TensorTopK(ctx context.Context, left, right *mat.Matrix, k int, opts Option
 	// Per-left-row bounded min-heaps, updated block by block.
 	heaps := make([][]Match, left.Rows())
 
-	batch := mat.BatchOptions{
-		Gemm:        mat.GemmOptions{Threads: opts.Threads, Kernel: opts.Kernel},
-		BudgetBytes: opts.BudgetBytes,
-		BatchRows:   opts.BatchRows,
-		BatchCols:   opts.BatchCols,
-	}
+	batch := batchOptions(opts)
 	res.Stats.PeakIntermediateBytes = mat.PeakBlockBytes(left.Rows(), right.Rows(), batch)
 
 	err := mat.ForEachBlock(left, right, batch, func(block *mat.Matrix, rOff, sOff int) error {

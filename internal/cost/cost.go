@@ -12,6 +12,7 @@ import (
 	"math"
 	"time"
 
+	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/quant"
 	"ejoin/internal/vec"
@@ -38,6 +39,11 @@ type Params struct {
 	ProbeWidth float64
 	// Build is the per-tuple index construction cost.
 	Build float64
+	// F16ScanFactor and Int8ScanFactor are the per-pair cost of an F16 or
+	// int8 threshold scan relative to F32 (see scanCostFactor); <= 0
+	// means the measured defaults. Calibrate times them on this machine.
+	F16ScanFactor  float64
+	Int8ScanFactor float64
 }
 
 // DefaultParams returns coefficients that reproduce the paper's qualitative
@@ -243,19 +249,32 @@ func (p Params) ChooseJoinStrategyWarm(nr, ns int, selLeft, selRight float64, k 
 	return Choice{Strategy: best, Estimates: est}
 }
 
+// Default per-pair scan cost of the narrow rungs relative to F32, from
+// BenchmarkThresholdScan (internal/core: 2048×2048 pairs, d=100, one
+// thread, 2-vCPU Xeon, best of five runs): f32 35.2 ns/pair, f16 41.8,
+// int8 38.9. All three rungs run the same register-tiled float32 GEMM;
+// the narrow ones add a panel decode (and, for int8, a rescale per
+// cell), so they cost slightly more per pair, not less. What they buy is
+// resident footprint, which the memory gate of ChooseJoinPrecision weighs.
+const (
+	defaultF16ScanFactor  = 1.19
+	defaultInt8ScanFactor = 1.10
+)
+
 // scanCostFactor is the relative per-comparison cost of a scan at each
-// precision: comparisons in large joins are memory-bound, so cost tracks
-// bytes moved (1, 1/2, 1/4), partially offset by per-element conversion
-// or rescaling work the narrower formats pay on the compute side.
-func scanCostFactor(p quant.Precision) float64 {
-	switch p {
+// precision: Params' measured factor, or the default when unset.
+func (p Params) scanCostFactor(prec quant.Precision) float64 {
+	f, def := 1.0, 1.0
+	switch prec {
 	case quant.PrecisionF16:
-		return 0.65
+		f, def = p.F16ScanFactor, defaultF16ScanFactor
 	case quant.PrecisionInt8:
-		return 0.45
-	default:
-		return 1
+		f, def = p.Int8ScanFactor, defaultInt8ScanFactor
 	}
+	if f <= 0 {
+		return def
+	}
+	return f
 }
 
 // PrecisionChoice is the outcome of precision selection.
@@ -286,8 +305,10 @@ type PrecisionChoice struct {
 //     built, so only the encode pass transiently holds both.
 //
 // Among survivors the cheapest estimated scan cost wins: comparisons
-// scaled by the per-precision byte-traffic factor, plus the one-pass
-// encode cost quantization adds per input tuple.
+// scaled by the per-precision scan cost factor, plus the one-pass encode
+// cost quantization adds per input tuple. With the measured factors (>= 1:
+// every rung runs the same tiled kernel) a narrow rung is chosen only when
+// the budget excludes F32.
 func (p Params) ChooseJoinPrecision(nr, ns, dim int, budgetBytes int64, slack float64) PrecisionChoice {
 	if slack < 0 {
 		slack = 0
@@ -308,7 +329,7 @@ func (p Params) ChooseJoinPrecision(nr, ns, dim int, budgetBytes int64, slack fl
 			// Quantizing is one pass over each input tuple's vector.
 			encode = float64(nr+ns) * p.Access
 		}
-		est[prec] = float64(nr)*float64(ns)*p.Compare*scanCostFactor(prec) + encode
+		est[prec] = float64(nr)*float64(ns)*p.Compare*p.scanCostFactor(prec) + encode
 		eligible = append(eligible, prec)
 	}
 
@@ -413,10 +434,10 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Calibrate measures the machine's relative A, M, and C and returns Params
-// with the remaining coefficients taken from DefaultParams. m is the model
-// whose cost will sit on the query's critical path; dim is the embedding
-// dimensionality.
+// Calibrate measures the machine's relative A, M, and C, and the narrow
+// scan rungs' per-pair cost factors, and returns Params with the remaining
+// coefficients taken from DefaultParams. m is the model whose cost will
+// sit on the query's critical path; dim is the embedding dimensionality.
 func Calibrate(m model.Model, dim int) (Params, error) {
 	p := DefaultParams()
 	const rounds = 64
@@ -453,6 +474,7 @@ func Calibrate(m model.Model, dim int) (Params, error) {
 	modelCost := float64(time.Since(start).Nanoseconds()) / rounds
 
 	_ = sink
+	p.F16ScanFactor, p.Int8ScanFactor = scanFactors(dim)
 	if access <= 0 {
 		access = 1
 	}
@@ -466,4 +488,32 @@ func Calibrate(m model.Model, dim int) (Params, error) {
 		p.Model = 1
 	}
 	return p, nil
+}
+
+// scanFactors times one 64×64 compare block per scan precision through the
+// blocked GEMM every threshold scan runs on (panel decode plus tile
+// kernel) and returns the F16 and int8 times relative to F32. Each rung
+// keeps its best of a few rounds, so one descheduled round cannot skew
+// the ratio.
+func scanFactors(dim int) (f16, int8 float64) {
+	const rows, rounds = 64, 5
+	dim = max(dim, 1)
+	m := mat.New(rows, dim)
+	for i := range m.Data {
+		m.Data[i] = float32(i%11)*0.1 - 0.5
+	}
+	m.NormalizeRows()
+	dst := mat.New(rows, rows)
+	opts := mat.GemmOptions{Threads: 1, Kernel: vec.KernelSIMD}
+	best := func(op mat.Operand) float64 {
+		b := math.Inf(1)
+		for i := 0; i < rounds; i++ {
+			start := time.Now()
+			_ = mat.MulTransposeInto(dst, op, op, opts)
+			b = math.Min(b, float64(time.Since(start).Nanoseconds()))
+		}
+		return math.Max(b, 1)
+	}
+	f32 := best(m)
+	return best(mat.EncodeF16(m)) / f32, best(quant.CodeOperand{Int8Matrix: quant.EncodeInt8(m)}) / f32
 }

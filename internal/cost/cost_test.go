@@ -202,7 +202,7 @@ func TestCalibrate(t *testing.T) {
 	if p.Access != 1 {
 		t.Errorf("Access should be the unit: %v", p.Access)
 	}
-	if p.Model <= 0 || p.Compare <= 0 {
+	if p.Model <= 0 || p.Compare <= 0 || p.F16ScanFactor <= 0 || p.Int8ScanFactor <= 0 {
 		t.Errorf("non-positive calibrated costs: %+v", p)
 	}
 	// A real embedding model costs far more than one dot product.
@@ -291,25 +291,61 @@ func TestChooseJoinPrecisionExactByDefault(t *testing.T) {
 func TestChooseJoinPrecisionSlackUnlocksLadder(t *testing.T) {
 	p := DefaultParams()
 	nr, ns, dim := 5000, 5000, 100
-	// Slack above the f16 bound but below int8's: f16 wins on traffic.
+	footprint := func(prec quant.Precision) int64 { return int64(nr+ns) * prec.BytesPerVector(dim) }
+	// Slack above the f16 bound but below int8's unlocks f16 only. Every
+	// rung runs the same tiled kernel, so without a budget the exact scan
+	// stays cheapest; a budget F32 overflows makes f16 the choice.
 	f16Only := quant.PrecisionF16.DotErrorBound(dim) + 1e-6
-	if c := p.ChooseJoinPrecision(nr, ns, dim, 0, f16Only); c.Precision != quant.PrecisionF16 {
-		t.Fatalf("f16-slack chose %v (estimates %v)", c.Precision, c.Estimates)
+	if c := p.ChooseJoinPrecision(nr, ns, dim, 0, f16Only); c.Precision != quant.PrecisionF32 || len(c.Estimates) != 2 {
+		t.Fatalf("f16-slack, no budget chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
-	// Generous slack: int8 is the cheapest scan.
-	c := p.ChooseJoinPrecision(nr, ns, dim, 0, 0.05)
+	if c := p.ChooseJoinPrecision(nr, ns, dim, footprint(quant.PrecisionF16), f16Only); c.Precision != quant.PrecisionF16 {
+		t.Fatalf("f16-slack, f16 budget chose %v (estimates %v)", c.Precision, c.Estimates)
+	}
+	// Generous slack: all three rungs are estimated, each scan priced at
+	// its measured per-pair factor plus the encode pass.
+	c := p.ChooseJoinPrecision(nr, ns, dim, footprint(quant.PrecisionInt8), 0.05)
 	if c.Precision != quant.PrecisionInt8 {
-		t.Fatalf("wide slack chose %v (estimates %v)", c.Precision, c.Estimates)
+		t.Fatalf("wide slack, int8 budget chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
 	if len(c.Estimates) != 3 {
 		t.Fatalf("expected all three rungs estimated, got %v", c.Estimates)
 	}
-	if c.Estimates[quant.PrecisionInt8] >= c.Estimates[quant.PrecisionF16] ||
-		c.Estimates[quant.PrecisionF16] >= c.Estimates[quant.PrecisionF32] {
-		t.Fatalf("estimates not ordered by byte traffic: %v", c.Estimates)
+	for _, prec := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
+		want := float64(nr)*float64(ns)*p.Compare*p.scanCostFactor(prec) + float64(nr+ns)*p.Access
+		if c.Estimates[prec] != want {
+			t.Fatalf("%v estimate %v, want %v", prec, c.Estimates[prec], want)
+		}
 	}
-	if c.FootprintBytes != int64(nr+ns)*quant.PrecisionInt8.BytesPerVector(dim) {
+	if c.FootprintBytes != footprint(quant.PrecisionInt8) {
 		t.Fatalf("footprint %d", c.FootprintBytes)
+	}
+}
+
+// TestChooseJoinPrecisionNeverPrefersCostlierRung: under a budget every
+// rung fits, a narrow rung whose scan factor is >= 1 never beats F32 —
+// it would cost at least as much per pair and add an encode pass — while
+// a factor below 1 can win on cost alone.
+func TestChooseJoinPrecisionNeverPrefersCostlierRung(t *testing.T) {
+	for _, factor := range []float64{1, 1.05, 1.5, 3} {
+		p := DefaultParams()
+		p.F16ScanFactor, p.Int8ScanFactor = factor, factor
+		for _, n := range []int{1, 10, 1000, 100000} {
+			for _, dim := range []int{8, 100, 768} {
+				f32Bytes := int64(2*n) * quant.PrecisionF32.BytesPerVector(dim)
+				for _, budget := range []int64{0, f32Bytes, 4 * f32Bytes} {
+					if c := p.ChooseJoinPrecision(n, n, dim, budget, 1); c.Precision != quant.PrecisionF32 {
+						t.Fatalf("factor %v n %d dim %d budget %d chose %v (estimates %v)",
+							factor, n, dim, budget, c.Precision, c.Estimates)
+					}
+				}
+			}
+		}
+	}
+	p := DefaultParams()
+	p.Int8ScanFactor = 0.5
+	if c := p.ChooseJoinPrecision(5000, 5000, 100, 0, 1); c.Precision != quant.PrecisionInt8 {
+		t.Fatalf("factor 0.5 chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
 }
 

@@ -42,19 +42,22 @@ func foldStats(agg *core.Stats, s core.Stats) {
 }
 
 // ThresholdProbe is the block nested-loop threshold join: the build side
-// stays resident (encoded once to the plan's precision) while probe
-// blocks stream through the existing F32/F16/int8 kernels. Each kernel
-// call sorts its matches by (probe, build) offset and blocks arrive in
-// ascending probe order, so the concatenated output is globally ordered
-// exactly like the materializing executor's — byte-identical results,
-// which is what the differential harness and LIMIT's first-N semantics
-// rely on.
+// stays resident (encoded once to the plan's precision, and kept in that
+// narrow encoding) while probe blocks stream through the scan kernels.
+// F16 and int8 blocks run on the same blocked, register-tiled driver as
+// the F32 tensor join, decoding one panel of rows at a time into bounded
+// per-worker scratch; a similarity depends only on its two rows, never on
+// the probe block size. Each kernel call sorts its matches by (probe,
+// build) offset and blocks arrive in ascending probe order, so the
+// concatenated output is globally ordered exactly like the materializing
+// executor's — byte-identical results, which is what the differential
+// harness and LIMIT's first-N semantics rely on.
 type ThresholdProbe struct {
 	Input Operator
 	buildSide
 	Threshold float32
 	// Tensor selects the blocked-GEMM kernel (StrategyTensor) over
-	// tuple-at-a-time NLJ.
+	// tuple-at-a-time NLJ for F32 scans; F16/int8 always run blocked.
 	Tensor bool
 	// Precision is the scan rung (F16/int8 encode the build once at Open
 	// and each probe block on arrival); PrecisionSlack, when positive, is

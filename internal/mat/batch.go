@@ -75,10 +75,12 @@ func max(a, b int) int {
 type BlockVisitor func(block *Matrix, rOff, sOff int) error
 
 // ForEachBlock computes D = r·sᵀ block-wise, invoking fn for every block.
-// The peak intermediate memory is one block (plus the inputs), trading
-// repeated passes over input panels for bounded footprint exactly as the
-// paper's mini-batch formulation does.
-func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
+// The peak intermediate memory is one block (plus the inputs and each GEMM
+// worker's panel scratch), trading repeated passes over input panels for
+// bounded footprint exactly as the paper's mini-batch formulation does.
+// Narrow-encoded operands are decoded panel by panel inside the GEMM, so
+// every precision runs on the same register-tiled kernel.
+func ForEachBlock(r, s Operand, opts BatchOptions, fn BlockVisitor) error {
 	if r.Cols() != s.Cols() {
 		return fmt.Errorf("mat: inner dimensions differ: %d vs %d", r.Cols(), s.Cols())
 	}
@@ -93,28 +95,16 @@ func ForEachBlock(r, s *Matrix, opts BatchOptions, fn BlockVisitor) error {
 	rb = clamp(rb, 1, nr)
 	sb = clamp(sb, 1, ns)
 
-	buf := New(rb, sb)
+	buf := make([]float32, rb*sb)
 	for rLo := 0; rLo < nr; rLo += rb {
-		rHi := rLo + rb
-		if rHi > nr {
-			rHi = nr
-		}
-		rBlk := r.Slice(rLo, rHi)
+		rHi := min(rLo+rb, nr)
 		for sLo := 0; sLo < ns; sLo += sb {
-			sHi := sLo + sb
-			if sHi > ns {
-				sHi = ns
-			}
-			sBlk := s.Slice(sLo, sHi)
-			dst := buf
-			if rHi-rLo != rb || sHi-sLo != sb {
-				// Edge block: view with the right shape over fresh storage
-				// (cannot reshape the row-major buffer without strides).
-				dst = New(rHi-rLo, sHi-sLo)
-			}
-			if err := MulTransposeInto(dst, rBlk, sBlk, opts.Gemm); err != nil {
-				return err
-			}
+			sHi := min(sLo+sb, ns)
+			// Edge blocks reuse a prefix of the buffer: the block is
+			// fully overwritten, so row-major reshaping needs no strides.
+			rows, cols := rHi-rLo, sHi-sLo
+			dst := &Matrix{RowsN: rows, ColsN: cols, Data: buf[:rows*cols]}
+			mulRange(dst, r, s, rLo, sLo, opts.Gemm)
 			if err := fn(dst, rLo, sLo); err != nil {
 				return err
 			}

@@ -9,8 +9,10 @@ import (
 // F16Matrix is a dense row-major half-precision matrix: the storage side of
 // the paper's half-precision direction (Section V-A2 — FP16 halves memory
 // traffic and doubles effective SIMD width on hardware with FP16 support).
-// In pure Go the memory saving is real (2 bytes/element) while compute pays
-// a conversion cost; the fp16 ablation experiment quantifies the trade.
+// In pure Go the memory saving is real (2 bytes/element); compute runs on
+// the same float32 register-tiled GEMM as F32, with each panel of rows
+// decoded once into a worker's scratch (DecodeRows), so the conversion is
+// paid once per row per panel, not once per compared pair.
 type F16Matrix struct {
 	RowsN int
 	ColsN int
@@ -41,6 +43,16 @@ func (m *F16Matrix) Decode() *Matrix {
 		out.Data[i] = x.Float32()
 	}
 	return out
+}
+
+// DecodeRows widens rows [lo, lo+dst.Rows()) into dst: the Operand view
+// the blocked GEMM decodes one panel at a time.
+func (m *F16Matrix) DecodeRows(dst *Matrix, lo int) {
+	out := dst.Data
+	src := m.Data[lo*m.ColsN:][:len(out)]
+	for i, h := range src {
+		out[i] = h.Float32()
+	}
 }
 
 // Rows returns the number of rows.

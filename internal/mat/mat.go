@@ -69,6 +69,12 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.ColsN : (i+1)*m.ColsN : (i+1)*m.ColsN]
 }
 
+// DecodeRows copies rows [lo, lo+dst.Rows()) into dst (the Operand view
+// of a float32 matrix; the GEMM reads *Matrix operands in place instead).
+func (m *Matrix) DecodeRows(dst *Matrix, lo int) {
+	copy(dst.Data, m.Data[lo*m.ColsN:])
+}
+
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.ColsN+j] }
 

@@ -162,6 +162,29 @@ func TestMulTransposeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMulTransposeDecodesOperands: an F16 operand, decoded panel by panel
+// inside the GEMM, yields bit for bit what the GEMM computes over its
+// whole-matrix Decode, at any thread count and panel shape.
+func TestMulTransposeDecodesOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	r, s := EncodeF16(randomMatrix(rng, 37, 19)), EncodeF16(randomMatrix(rng, 23, 19))
+	want, err := MulTranspose(r.Decode(), s.Decode(), GemmOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 3} {
+		for _, block := range []int{0, 5} {
+			got, err := MulTranspose(r, s, GemmOptions{Threads: threads, Kernel: vec.KernelSIMD, BlockRows: block, BlockCols: block})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(got, want, 0) {
+				t.Fatalf("threads %d block %d: decoded GEMM differs from GEMM over Decode()", threads, block)
+			}
+		}
+	}
+}
+
 func TestMulTransposeErrors(t *testing.T) {
 	r := New(2, 3)
 	s := New(2, 4)

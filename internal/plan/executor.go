@@ -404,10 +404,11 @@ func (ex *Executor) joinDispatch(ctx context.Context, j *EJoin, left, right *eva
 
 // thresholdScan executes a threshold scan at the plan's precision: exact
 // F32 (tensor-blocked or tuple-at-a-time per the strategy), or the F16 /
-// INT8 rungs of the precision ladder. Quantized scans run tuple-at-a-time
-// — the memory-traffic reduction, not cache blocking, is what those rungs
-// buy — and inputs are encoded on the fly from the prefetched float32
-// embeddings (the planner charged for that pass).
+// INT8 rungs of the precision ladder. Quantized scans always run on the
+// tensor join's blocked driver, decoding each panel of narrow rows into
+// float32 scratch for the tiled kernel; inputs are encoded on the fly
+// from the prefetched float32 embeddings (the planner charged for that
+// pass).
 func (ex *Executor) thresholdScan(ctx context.Context, j *EJoin, left, right *evaluatedInput, tensor bool) (*core.Result, error) {
 	// The float32 inputs are released as soon as the quantized copies
 	// exist, so the scan's steady-state residency is the quantized bytes

@@ -27,10 +27,11 @@ func TestOptimizerPrecisionDefaultsExact(t *testing.T) {
 	}
 }
 
-// TestOptimizerPrecisionSlackChoosesQuantized: opting into slack makes
-// the planner pick a narrower rung for threshold scans, record its
-// estimates, and the executor run it with agreement away from the
-// boundary.
+// TestOptimizerPrecisionSlackChoosesQuantized: opting into slack under a
+// memory budget makes the planner pick a narrower rung for threshold
+// scans, record its estimates, and the executor run it with agreement
+// away from the boundary. (Every rung runs the same tiled kernel, so
+// slack alone keeps F32: the narrow rungs buy footprint, not speed.)
 func TestOptimizerPrecisionSlackChoosesQuantized(t *testing.T) {
 	q := testQuery(t)
 	naive, err := NewNaivePlan(q)
@@ -39,6 +40,7 @@ func TestOptimizerPrecisionSlackChoosesQuantized(t *testing.T) {
 	}
 	opt := NewOptimizer()
 	opt.PrecisionSlack = 0.05
+	opt.MemoryBudget = 64 // bytes: below every rung, so the smallest (int8) wins
 	pl, err := opt.Optimize(naive)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +176,7 @@ func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
 	}
 	opt := NewOptimizer()
 	opt.PrecisionSlack = 0.05 // above int8's planning constant, below the one-hot bound
+	opt.MemoryBudget = 64     // bytes: below every rung, so the smallest (int8) wins
 	pl, err := opt.Optimize(naive)
 	if err != nil {
 		t.Fatal(err)

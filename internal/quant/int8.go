@@ -12,7 +12,9 @@ import (
 // x_i ≈ code_i · s. Symmetric codes make the similarity of two encoded
 // vectors a plain int8×int8 dot with int32 accumulation — the integer
 // kernel hardware executes at multiples of float throughput — followed by
-// a single float32 rescale by s_a·s_b.
+// a single float32 rescale by s_a·s_b. Scans compute those dots exactly
+// on the float32 register-tiled GEMM over widened codes (CodeOperand);
+// DotInt8/SimInt8 are the per-pair reference.
 
 // Int8Matrix is a dense row-major int8-quantized matrix: the 4×-compressed
 // rung of the precision ladder.
@@ -127,6 +129,27 @@ func (m *Int8Matrix) SizeBytes() int64 {
 func (m *Int8Matrix) ReconstructionErrorBound(i int) float32 {
 	return m.Scales[i] / 2
 }
+
+// CodeOperand presents an Int8Matrix's raw codes to the blocked GEMM as a
+// mat.IntegerOperand: each panel of rows decodes to its codes widened to
+// float32, unscaled, so r·sᵀ over two CodeOperands is the matrix of exact
+// DotInt8 values (as float32). Rescaling a cell as cell·sa·sb is then
+// SimInt8 bit for bit.
+type CodeOperand struct{ *Int8Matrix }
+
+// DecodeRows widens the codes of rows [lo, lo+dst.Rows()) into dst.
+func (c CodeOperand) DecodeRows(dst *mat.Matrix, lo int) {
+	out := dst.Data
+	src := c.Codes[lo*c.ColsN:][:len(out)]
+	for i, code := range src {
+		out[i] = float32(code)
+	}
+}
+
+// ExactCols is the widest k-range whose float32 code dot is exact. Every
+// product is at most 127² and every partial sum of d of them stays below
+// 2^24 while d ≤ 1040; slabs of 1024 columns keep well inside that.
+func (CodeOperand) ExactCols() int { return 1024 }
 
 // DotInt8 computes the integer inner product of two code vectors with
 // int32 accumulation. The unrolled form mirrors vec.Dot's SIMD kernel:

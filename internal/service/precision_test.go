@@ -143,9 +143,13 @@ func TestTablePrecisionValidation(t *testing.T) {
 }
 
 // TestPrecisionSlackConfig: a configured slack makes the planner itself
-// choose a quantized rung with no per-table knob involved.
+// choose a quantized rung with no per-table knob involved, once the
+// admission byte budget (which precision planning shares) rules out F32.
 func TestPrecisionSlackConfig(t *testing.T) {
-	e, _ := newTestEngine(t, Config{PrecisionSlack: 0.05})
+	// One byte is below every rung's footprint, so the smallest (int8)
+	// is chosen; admission clamps the over-budget query rather than
+	// refusing it.
+	e, _ := newTestEngine(t, Config{PrecisionSlack: 0.05, AdmissionBytes: 1})
 	res, err := e.Query(context.Background(), QueryRequest{SQL: testQuery})
 	if err != nil {
 		t.Fatal(err)

@@ -150,8 +150,9 @@ type Config struct {
 	// it move index knobs — observe-only mode.
 	DisableAutoTune bool
 	// CalibrateCost measures this machine's relative access/compare/model
-	// costs at engine build (cost.Calibrate — a few microseconds plus 64
-	// model calls) and plans with the result instead of CostParams.
+	// costs and the F16/int8 scan factors at engine build (cost.Calibrate —
+	// a few milliseconds plus 64 model calls) and plans with the result
+	// instead of CostParams.
 	CalibrateCost bool
 	// ForceStrategy, when non-nil, bypasses cost-based strategy selection
 	// for every query (test/differential harnesses pin exact strategies).

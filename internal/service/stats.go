@@ -175,6 +175,10 @@ type ServerStats struct {
 // Stats snapshots the engine's statistics.
 func (e *Engine) Stats() ServerStats {
 	c := &e.counters
+	// Query bumps counters.queries before it observes latency, so the obs
+	// snapshot is read first: every latency sample it counts then belongs
+	// to a query the counter load below already sees.
+	obsSt := e.obsStats()
 	hits, misses, invalidations, entries := e.plans.snapshot()
 	st := ServerStats{
 		Uptime:                 time.Since(e.start),
@@ -205,7 +209,7 @@ func (e *Engine) Stats() ServerStats {
 	}
 	st.Quant.TablePrecisions = e.tablePrec.snapshot()
 	st.Quant.PrecisionSlack = e.cfg.PrecisionSlack
-	st.Obs = e.obsStats()
+	st.Obs = obsSt
 	st.Cost = e.costStats()
 	st.Feedback = e.feedbackStats()
 	c.mu.Lock()

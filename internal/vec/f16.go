@@ -58,32 +58,27 @@ func F16FromFloat32(f float32) F16 {
 	}
 }
 
-// Float32 converts back to full precision.
+// Float32 converts back to full precision. Finite values (normal and
+// subnormal) take one branch-free path: the exponent and mantissa bits
+// move to their float32 positions and a multiply by 2^(127-15) rebiases
+// the exponent, which is exact because it scales by a power of two and
+// also normalizes half-precision subnormals. The GEMM decodes every panel
+// of an F16 operand through this, so it is kept small enough to inline.
 func (h F16) Float32() float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	mant := uint32(h & 0x3ff)
-	switch exp {
-	case 0:
-		if mant == 0 {
-			return math.Float32frombits(sign) // signed zero
-		}
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
-		}
-		mant &= 0x3ff
-		return math.Float32frombits(sign | e<<23 | mant<<13)
-	case 0x1f:
-		if mant == 0 {
-			return math.Float32frombits(sign | 0x7f800000) // Inf
-		}
-		return math.Float32frombits(sign | 0x7fc00000) // NaN
-	default:
-		return math.Float32frombits(sign | (exp+127-15)<<23 | mant<<13)
+	if h&0x7c00 == 0x7c00 {
+		return h.nonFinite()
 	}
+	f := math.Float32frombits(uint32(h&0x7fff)<<13) * 0x1p112
+	return math.Float32frombits(math.Float32bits(f) | uint32(h&0x8000)<<16)
+}
+
+// nonFinite decodes Inf and NaN (all-ones exponent).
+func (h F16) nonFinite() float32 {
+	sign := uint32(h&0x8000) << 16
+	if h&0x3ff == 0 {
+		return math.Float32frombits(sign | 0x7f800000) // Inf
+	}
+	return math.Float32frombits(sign | 0x7fc00000) // NaN
 }
 
 // F16Vector is a half-precision vector.

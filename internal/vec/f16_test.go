@@ -175,3 +175,39 @@ func TestF16MonotoneRounding(t *testing.T) {
 		prevF, prevH = f, h
 	}
 }
+
+// TestF16Float32Exhaustive checks the branch-free decode bit for bit
+// against a field-by-field IEEE 754 binary16 decoder over all 65536
+// encodings.
+func TestF16Float32Exhaustive(t *testing.T) {
+	ref := func(h F16) float32 {
+		sign := uint32(h&0x8000) << 16
+		exp := uint32(h>>10) & 0x1f
+		mant := uint32(h & 0x3ff)
+		switch exp {
+		case 0:
+			if mant == 0 {
+				return math.Float32frombits(sign)
+			}
+			e := uint32(127 - 15 + 1)
+			for mant&0x400 == 0 {
+				mant <<= 1
+				e--
+			}
+			return math.Float32frombits(sign | e<<23 | (mant&0x3ff)<<13)
+		case 0x1f:
+			if mant == 0 {
+				return math.Float32frombits(sign | 0x7f800000)
+			}
+			return math.Float32frombits(sign | 0x7fc00000)
+		default:
+			return math.Float32frombits(sign | (exp+127-15)<<23 | mant<<13)
+		}
+	}
+	for i := 0; i <= 0xffff; i++ {
+		h := F16(i)
+		if got, want := math.Float32bits(h.Float32()), math.Float32bits(ref(h)); got != want {
+			t.Fatalf("F16(%#04x).Float32() bits %#08x, want %#08x", i, got, want)
+		}
+	}
+}

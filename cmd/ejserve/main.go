@@ -60,6 +60,7 @@ import (
 	"syscall"
 	"time"
 
+	"ejoin/internal/quant"
 	"ejoin/internal/service"
 	"ejoin/internal/shard"
 )
@@ -176,7 +177,7 @@ func main() {
 		}
 		if p := engine.CostParams(); engine.Calibrated() {
 			log.Printf("ejserve: cost model calibrated: access=%.3g compare=%.3g model=%.3g (per-tuple units), f16 scan=%.3g int8 scan=%.3g (x f32)",
-				p.Access, p.Compare, p.Model, p.F16ScanFactor, p.Int8ScanFactor)
+				p.Access, p.Compare, p.Model, p.ScanCostFactor(quant.PrecisionF16), p.ScanCostFactor(quant.PrecisionInt8))
 		}
 		if *auditFraction > 0 {
 			log.Printf("ejserve: feedback: auditing %.1f%% of index-path queries against recall SLO %.2f (auto-tune %v)",

@@ -13,7 +13,7 @@ var scanSink *Result
 
 // BenchmarkThresholdScan times one threshold scan per precision rung over
 // 2048×2048 unit vectors of dimension 100 on one thread and reports the
-// per-pair cost (ns/pair), the ratio the cost model's scanCostFactor
+// per-pair cost (ns/pair), the ratio the cost model's ScanCostFactor
 // encodes. Run: go test -run '^$' -bench ThresholdScan ./internal/core/
 func BenchmarkThresholdScan(b *testing.B) {
 	const n, d = 2048, 100

@@ -39,11 +39,11 @@ type Params struct {
 	ProbeWidth float64
 	// Build is the per-tuple index construction cost.
 	Build float64
-	// F16ScanFactor and Int8ScanFactor are the per-pair cost of an F16 or
-	// int8 threshold scan relative to F32 (see scanCostFactor); <= 0
-	// means the measured defaults. Calibrate times them on this machine.
-	F16ScanFactor  float64
-	Int8ScanFactor float64
+
+	// f16ScanFactor and int8ScanFactor are the per-pair cost of an F16 or
+	// int8 threshold scan relative to F32 as Calibrate measured it on this
+	// machine; zero means the measured defaults (see ScanCostFactor).
+	f16ScanFactor, int8ScanFactor float64
 }
 
 // DefaultParams returns coefficients that reproduce the paper's qualitative
@@ -261,20 +261,44 @@ const (
 	defaultInt8ScanFactor = 1.10
 )
 
-// scanCostFactor is the relative per-comparison cost of a scan at each
-// precision: Params' measured factor, or the default when unset.
-func (p Params) scanCostFactor(prec quant.Precision) float64 {
+// ScanCostFactor is the relative per-comparison cost of a threshold scan
+// at prec against F32: the factor Calibrate measured, or the default.
+func (p Params) ScanCostFactor(prec quant.Precision) float64 {
 	f, def := 1.0, 1.0
 	switch prec {
 	case quant.PrecisionF16:
-		f, def = p.F16ScanFactor, defaultF16ScanFactor
+		f, def = p.f16ScanFactor, defaultF16ScanFactor
 	case quant.PrecisionInt8:
-		f, def = p.Int8ScanFactor, defaultInt8ScanFactor
+		f, def = p.int8ScanFactor, defaultInt8ScanFactor
 	}
 	if f <= 0 {
 		return def
 	}
 	return f
+}
+
+// ScanShape is how a threshold scan will execute: its strategy and the
+// blocked driver's batching, which together fix the intermediate each
+// precision rung holds besides its inputs (ScanIntermediateBytes).
+type ScanShape struct {
+	Strategy Strategy
+	Batch    mat.BatchOptions
+}
+
+// ScanIntermediateBytes is what a scan join over nr x ns inputs holds
+// besides them: the blocked driver's similarity block (mat.PeakBlockBytes)
+// for tensor scans and for every F16/int8 scan, which always run blocked,
+// or one row of ns partial similarities for F32 tuple-at-a-time NLJ.
+// Other strategies hold no scan intermediate.
+func ScanIntermediateBytes(s Strategy, prec quant.Precision, nr, ns int, batch mat.BatchOptions) int64 {
+	narrow := prec == quant.PrecisionF16 || prec == quant.PrecisionInt8
+	switch {
+	case s == StrategyTensor, s == StrategyNLJ && narrow:
+		return mat.PeakBlockBytes(nr, ns, batch)
+	case s == StrategyNLJ:
+		return int64(ns) * 4
+	}
+	return 0
 }
 
 // PrecisionChoice is the outcome of precision selection.
@@ -283,7 +307,8 @@ type PrecisionChoice struct {
 	// Estimates maps each eligible precision to its estimated scan cost;
 	// precisions excluded on accuracy grounds are absent.
 	Estimates map[quant.Precision]float64
-	// FootprintBytes is the chosen precision's resident embedding bytes.
+	// FootprintBytes is the chosen precision's resident bytes while the
+	// scan runs: its embeddings plus the scan intermediate.
 	FootprintBytes int64
 }
 
@@ -296,27 +321,30 @@ type PrecisionChoice struct {
 //     bound (quant.Precision.DotErrorBound) is at most slack, the result
 //     drift the caller tolerates at the threshold boundary. slack <= 0
 //     demands exactness and always selects F32.
-//   - memory: when budgetBytes > 0, precisions whose embedding footprint
-//     (nr+ns vectors) exceeds the budget are excluded; if no precision
-//     fits, the smallest-footprint eligible rung is chosen — degraded,
-//     like the admission controller's over-budget clamp, rather than
-//     refused. The footprint is the scan's steady-state residency: the
-//     executor drops the float32 prefetch once the quantized copies are
-//     built, so only the encode pass transiently holds both.
+//   - memory: when budgetBytes > 0, precisions whose footprint exceeds
+//     the budget are excluded; if no precision fits, the smallest-
+//     footprint eligible rung is chosen — degraded, like the admission
+//     controller's over-budget clamp, rather than refused. The footprint
+//     is the scan's steady-state residency: nr+ns vectors at the rung's
+//     width (the executor drops the float32 prefetch once the quantized
+//     copies are built, so only the encode pass transiently holds both)
+//     plus the intermediate the scan holds under shape. F16/int8 scans
+//     always hold a similarity block, so under an F32 NLJ shape they can
+//     need more memory than F32 does.
 //
 // Among survivors the cheapest estimated scan cost wins: comparisons
 // scaled by the per-precision scan cost factor, plus the one-pass encode
 // cost quantization adds per input tuple. With the measured factors (>= 1:
 // every rung runs the same tiled kernel) a narrow rung is chosen only when
 // the budget excludes F32.
-func (p Params) ChooseJoinPrecision(nr, ns, dim int, budgetBytes int64, slack float64) PrecisionChoice {
+func (p Params) ChooseJoinPrecision(nr, ns, dim int, shape ScanShape, budgetBytes int64, slack float64) PrecisionChoice {
 	if slack < 0 {
 		slack = 0
 	}
 	ladder := []quant.Precision{quant.PrecisionF32, quant.PrecisionF16, quant.PrecisionInt8}
 	est := make(map[quant.Precision]float64, len(ladder))
 	footprint := func(prec quant.Precision) int64 {
-		return int64(nr+ns) * prec.BytesPerVector(dim)
+		return int64(nr+ns)*prec.BytesPerVector(dim) + ScanIntermediateBytes(shape.Strategy, prec, nr, ns, shape.Batch)
 	}
 
 	var eligible []quant.Precision
@@ -329,7 +357,7 @@ func (p Params) ChooseJoinPrecision(nr, ns, dim int, budgetBytes int64, slack fl
 			// Quantizing is one pass over each input tuple's vector.
 			encode = float64(nr+ns) * p.Access
 		}
-		est[prec] = float64(nr)*float64(ns)*p.Compare*p.scanCostFactor(prec) + encode
+		est[prec] = float64(nr)*float64(ns)*p.Compare*p.ScanCostFactor(prec) + encode
 		eligible = append(eligible, prec)
 	}
 
@@ -417,11 +445,11 @@ func (p Params) ChooseJoinStrategyCorrected(nr, ns int, selLeft, selRight float6
 // selectivity correction before the ladder weighs scan cost against the
 // encode pass. The memory gate still uses the corrected counts — an
 // estimate the feedback says is too low would otherwise under-reserve.
-func (p Params) ChooseJoinPrecisionCorrected(nr, ns, dim int, budgetBytes int64, slack float64, corr Corrections) PrecisionChoice {
+func (p Params) ChooseJoinPrecisionCorrected(nr, ns, dim int, shape ScanShape, budgetBytes int64, slack float64, corr Corrections) PrecisionChoice {
 	corr = corr.Clamped()
 	cnr := int(math.Ceil(float64(nr) * corr.SelLeft))
 	cns := int(math.Ceil(float64(ns) * corr.SelRight))
-	return p.ChooseJoinPrecision(cnr, cns, dim, budgetBytes, slack)
+	return p.ChooseJoinPrecision(cnr, cns, dim, shape, budgetBytes, slack)
 }
 
 func clamp01(x float64) float64 {
@@ -474,7 +502,7 @@ func Calibrate(m model.Model, dim int) (Params, error) {
 	modelCost := float64(time.Since(start).Nanoseconds()) / rounds
 
 	_ = sink
-	p.F16ScanFactor, p.Int8ScanFactor = scanFactors(dim)
+	p.f16ScanFactor, p.int8ScanFactor = scanFactors(dim)
 	if access <= 0 {
 		access = 1
 	}

@@ -3,6 +3,7 @@ package cost
 import (
 	"testing"
 
+	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/quant"
 )
@@ -202,7 +203,7 @@ func TestCalibrate(t *testing.T) {
 	if p.Access != 1 {
 		t.Errorf("Access should be the unit: %v", p.Access)
 	}
-	if p.Model <= 0 || p.Compare <= 0 || p.F16ScanFactor <= 0 || p.Int8ScanFactor <= 0 {
+	if p.Model <= 0 || p.Compare <= 0 || p.f16ScanFactor <= 0 || p.int8ScanFactor <= 0 {
 		t.Errorf("non-positive calibrated costs: %+v", p)
 	}
 	// A real embedding model costs far more than one dot product.
@@ -275,7 +276,7 @@ func TestChooseJoinStrategyWarmCanFlip(t *testing.T) {
 func TestChooseJoinPrecisionExactByDefault(t *testing.T) {
 	p := DefaultParams()
 	// Zero slack demands exactness: F32 regardless of sizes or budget.
-	c := p.ChooseJoinPrecision(10000, 10000, 100, 1<<20, 0)
+	c := p.ChooseJoinPrecision(10000, 10000, 100, ScanShape{}, 1<<20, 0)
 	if c.Precision != quant.PrecisionF32 {
 		t.Fatalf("zero slack chose %v", c.Precision)
 	}
@@ -283,7 +284,7 @@ func TestChooseJoinPrecisionExactByDefault(t *testing.T) {
 		t.Fatalf("zero slack should leave only f32 eligible, got %v", c.Estimates)
 	}
 	// Negative slack clamps to zero rather than excluding everything.
-	if c := p.ChooseJoinPrecision(100, 100, 32, 0, -1); c.Precision != quant.PrecisionF32 {
+	if c := p.ChooseJoinPrecision(100, 100, 32, ScanShape{}, 0, -1); c.Precision != quant.PrecisionF32 {
 		t.Fatalf("negative slack chose %v", c.Precision)
 	}
 }
@@ -296,15 +297,15 @@ func TestChooseJoinPrecisionSlackUnlocksLadder(t *testing.T) {
 	// rung runs the same tiled kernel, so without a budget the exact scan
 	// stays cheapest; a budget F32 overflows makes f16 the choice.
 	f16Only := quant.PrecisionF16.DotErrorBound(dim) + 1e-6
-	if c := p.ChooseJoinPrecision(nr, ns, dim, 0, f16Only); c.Precision != quant.PrecisionF32 || len(c.Estimates) != 2 {
+	if c := p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, 0, f16Only); c.Precision != quant.PrecisionF32 || len(c.Estimates) != 2 {
 		t.Fatalf("f16-slack, no budget chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
-	if c := p.ChooseJoinPrecision(nr, ns, dim, footprint(quant.PrecisionF16), f16Only); c.Precision != quant.PrecisionF16 {
+	if c := p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, footprint(quant.PrecisionF16), f16Only); c.Precision != quant.PrecisionF16 {
 		t.Fatalf("f16-slack, f16 budget chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
 	// Generous slack: all three rungs are estimated, each scan priced at
 	// its measured per-pair factor plus the encode pass.
-	c := p.ChooseJoinPrecision(nr, ns, dim, footprint(quant.PrecisionInt8), 0.05)
+	c := p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, footprint(quant.PrecisionInt8), 0.05)
 	if c.Precision != quant.PrecisionInt8 {
 		t.Fatalf("wide slack, int8 budget chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
@@ -312,7 +313,7 @@ func TestChooseJoinPrecisionSlackUnlocksLadder(t *testing.T) {
 		t.Fatalf("expected all three rungs estimated, got %v", c.Estimates)
 	}
 	for _, prec := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
-		want := float64(nr)*float64(ns)*p.Compare*p.scanCostFactor(prec) + float64(nr+ns)*p.Access
+		want := float64(nr)*float64(ns)*p.Compare*p.ScanCostFactor(prec) + float64(nr+ns)*p.Access
 		if c.Estimates[prec] != want {
 			t.Fatalf("%v estimate %v, want %v", prec, c.Estimates[prec], want)
 		}
@@ -329,12 +330,12 @@ func TestChooseJoinPrecisionSlackUnlocksLadder(t *testing.T) {
 func TestChooseJoinPrecisionNeverPrefersCostlierRung(t *testing.T) {
 	for _, factor := range []float64{1, 1.05, 1.5, 3} {
 		p := DefaultParams()
-		p.F16ScanFactor, p.Int8ScanFactor = factor, factor
+		p.f16ScanFactor, p.int8ScanFactor = factor, factor
 		for _, n := range []int{1, 10, 1000, 100000} {
 			for _, dim := range []int{8, 100, 768} {
 				f32Bytes := int64(2*n) * quant.PrecisionF32.BytesPerVector(dim)
 				for _, budget := range []int64{0, f32Bytes, 4 * f32Bytes} {
-					if c := p.ChooseJoinPrecision(n, n, dim, budget, 1); c.Precision != quant.PrecisionF32 {
+					if c := p.ChooseJoinPrecision(n, n, dim, ScanShape{}, budget, 1); c.Precision != quant.PrecisionF32 {
 						t.Fatalf("factor %v n %d dim %d budget %d chose %v (estimates %v)",
 							factor, n, dim, budget, c.Precision, c.Estimates)
 					}
@@ -343,8 +344,8 @@ func TestChooseJoinPrecisionNeverPrefersCostlierRung(t *testing.T) {
 		}
 	}
 	p := DefaultParams()
-	p.Int8ScanFactor = 0.5
-	if c := p.ChooseJoinPrecision(5000, 5000, 100, 0, 1); c.Precision != quant.PrecisionInt8 {
+	p.int8ScanFactor = 0.5
+	if c := p.ChooseJoinPrecision(5000, 5000, 100, ScanShape{}, 0, 1); c.Precision != quant.PrecisionInt8 {
 		t.Fatalf("factor 0.5 chose %v (estimates %v)", c.Precision, c.Estimates)
 	}
 }
@@ -355,18 +356,61 @@ func TestChooseJoinPrecisionBudgetForcesNarrow(t *testing.T) {
 	f32Bytes := int64(nr+ns) * quant.PrecisionF32.BytesPerVector(dim)
 	// Budget admits f16 but not f32; slack admits everything. Int8 both
 	// fits and is cheapest.
-	c := p.ChooseJoinPrecision(nr, ns, dim, f32Bytes/2, 0.05)
+	c := p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, f32Bytes/2, 0.05)
 	if c.Precision != quant.PrecisionInt8 {
 		t.Fatalf("budgeted choice %v", c.Precision)
 	}
 	// Budget admits nothing: smallest eligible footprint wins anyway.
-	c = p.ChooseJoinPrecision(nr, ns, dim, 1, 0.05)
+	c = p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, 1, 0.05)
 	if c.Precision != quant.PrecisionInt8 {
 		t.Fatalf("over-budget fallback chose %v", c.Precision)
 	}
 	// Budget admits nothing and slack admits only f32: degrade to f32.
-	c = p.ChooseJoinPrecision(nr, ns, dim, 1, 0)
+	c = p.ChooseJoinPrecision(nr, ns, dim, ScanShape{}, 1, 0)
 	if c.Precision != quant.PrecisionF32 {
 		t.Fatalf("exact over-budget fallback chose %v", c.Precision)
+	}
+}
+
+// TestChooseJoinPrecisionChargesScanIntermediate: the memory gate counts
+// what the scan holds besides its inputs. F16/int8 scans always run the
+// blocked driver, so under an F32 NLJ shape a narrow rung with a large
+// similarity block is not the smaller footprint.
+func TestChooseJoinPrecisionChargesScanIntermediate(t *testing.T) {
+	p := DefaultParams()
+	nr, ns, dim := 5000, 5000, 100
+	batch := mat.BatchOptions{BudgetBytes: 32 << 20}
+	block := mat.PeakBlockBytes(nr, ns, batch)
+	inputs := func(prec quant.Precision) int64 { return int64(nr+ns) * prec.BytesPerVector(dim) }
+
+	for _, prec := range []quant.Precision{quant.PrecisionF32, quant.PrecisionF16, quant.PrecisionInt8} {
+		if got := ScanIntermediateBytes(StrategyTensor, prec, nr, ns, batch); got != block {
+			t.Fatalf("tensor %v intermediate %d, want block %d", prec, got, block)
+		}
+	}
+	if got := ScanIntermediateBytes(StrategyNLJ, quant.PrecisionF32, nr, ns, batch); got != int64(ns)*4 {
+		t.Fatalf("f32 nlj intermediate %d, want one row %d", got, ns*4)
+	}
+	for _, prec := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
+		if got := ScanIntermediateBytes(StrategyNLJ, prec, nr, ns, batch); got != block {
+			t.Fatalf("nlj %v intermediate %d, want block %d", prec, got, block)
+		}
+	}
+
+	nlj := ScanShape{Strategy: StrategyNLJ, Batch: batch}
+	f32NLJ := inputs(quant.PrecisionF32) + int64(ns)*4
+	// A budget below F32 NLJ's footprint fits nothing, and F32 NLJ holds
+	// far less than int8 codes plus a block: it is the smallest rung.
+	c := p.ChooseJoinPrecision(nr, ns, dim, nlj, f32NLJ-1, 1)
+	if c.Precision != quant.PrecisionF32 || c.FootprintBytes != f32NLJ {
+		t.Fatalf("nlj, tight budget chose %v (%d bytes)", c.Precision, c.FootprintBytes)
+	}
+	// Under the tensor shape every rung holds the block, so the narrow
+	// encodings are smaller again and the budget selects int8.
+	tensor := ScanShape{Strategy: StrategyTensor, Batch: batch}
+	want := inputs(quant.PrecisionInt8) + block
+	c = p.ChooseJoinPrecision(nr, ns, dim, tensor, want, 1)
+	if c.Precision != quant.PrecisionInt8 || c.FootprintBytes != want {
+		t.Fatalf("tensor, int8 budget chose %v (%d bytes, want %d)", c.Precision, c.FootprintBytes, want)
 	}
 }

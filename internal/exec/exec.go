@@ -58,7 +58,7 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // operator's Next, excluding time spent pulling its input).
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
-	// ("scan", "embed", "semfilter", "probe:nlj", "probe:topk",
+	// ("scan", "embed", "semfilter", "probe:nlj", "probe:tensor", "probe:topk",
 	// "probe:index", "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued

@@ -84,7 +84,8 @@ type ThresholdProbe struct {
 // Open encodes the resident build side.
 func (p *ThresholdProbe) Open(ctx context.Context) error {
 	p.st = OpStats{Name: "probe:nlj"}
-	if p.Tensor {
+	if p.Tensor || p.Precision == quant.PrecisionF16 || p.Precision == quant.PrecisionInt8 {
+		// F16/int8 blocks always run the blocked driver.
 		p.st.Name = "probe:tensor"
 	}
 	p.agg = core.Stats{}

@@ -65,6 +65,10 @@ func TestNarrowProbeBlockInvariant(t *testing.T) {
 					if err := p.Open(ctx); err != nil {
 						t.Fatal(err)
 					}
+					// Narrow probes run the blocked driver even without Tensor.
+					if name := p.Stats().Name; name != "probe:tensor" {
+						t.Fatalf("%v probe named %q", prec, name)
+					}
 					got, err := Drain(ctx, p)
 					if err != nil {
 						t.Fatal(err)

@@ -412,8 +412,9 @@ func (ex *Executor) joinDispatch(ctx context.Context, j *EJoin, left, right *eva
 func (ex *Executor) thresholdScan(ctx context.Context, j *EJoin, left, right *evaluatedInput, tensor bool) (*core.Result, error) {
 	// The float32 inputs are released as soon as the quantized copies
 	// exist, so the scan's steady-state residency is the quantized bytes
-	// the precision planner budgeted for (the encode itself transiently
-	// holds both).
+	// plus the blocked driver's similarity block, which is what the
+	// precision planner and the admission estimate charge (the encode
+	// itself transiently holds both encodings).
 	switch j.Precision {
 	case quant.PrecisionF16:
 		lq, rq := mat.EncodeF16(left.embeddings), mat.EncodeF16(right.embeddings)

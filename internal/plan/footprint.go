@@ -5,13 +5,16 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/exec"
 	"ejoin/internal/mat"
+	"ejoin/internal/quant"
 )
 
 // EstimateFootprint estimates the peak resident bytes executing j will
-// pin: the prefetched embedding matrices of both (post-filter) inputs
-// plus, for the tensor strategy, the largest similarity block the blocked
-// GEMM materializes under the executor's batching options. dim is the
-// embedding dimensionality (the model's, or the vector column's).
+// pin: the prefetched embedding matrices of both (post-filter) inputs, the
+// encoded copies an F16/int8 scan builds from them, and the scan's
+// intermediate under the executor's batching options
+// (cost.ScanIntermediateBytes: the blocked driver's similarity block for
+// tensor and every F16/int8 scan). dim is the embedding dimensionality
+// (the model's, or the vector column's).
 //
 // This is the weight a serving layer charges against its admission
 // budget before letting the query execute: it bounds aggregate memory
@@ -25,23 +28,8 @@ func EstimateFootprint(j *EJoin, dim int, opts core.Options) int64 {
 	if dim < 1 {
 		dim = 1
 	}
-	bytes := int64(lr+rr) * int64(dim) * 4
-	if j.Strategy == cost.StrategyTensor || j.Strategy == cost.StrategyNLJ {
-		// Top-k scans and threshold tensor joins share the blocked kernel;
-		// NLJ's intermediate is one row of partial matches, counted as one
-		// block row for headroom.
-		batch := mat.BatchOptions{
-			BudgetBytes: opts.BudgetBytes,
-			BatchRows:   opts.BatchRows,
-			BatchCols:   opts.BatchCols,
-		}
-		if j.Strategy == cost.StrategyTensor {
-			bytes += mat.PeakBlockBytes(lr, rr, batch)
-		} else {
-			bytes += int64(rr) * 4
-		}
-	}
-	return bytes
+	return int64(lr+rr)*(int64(dim)*4+encodedBytes(j, dim)) +
+		cost.ScanIntermediateBytes(j.Strategy, j.Precision, lr, rr, scanBatch(opts))
 }
 
 // EstimateFootprintStreaming is the admission weight of a streamed plan:
@@ -70,17 +58,24 @@ func EstimateFootprintStreaming(j *EJoin, dim int, opts core.Options, blockRows 
 	if block > blockRows {
 		block = blockRows
 	}
-	bytes := int64(rr+block) * int64(dim) * 4
-	switch j.Strategy {
-	case cost.StrategyTensor:
-		batch := mat.BatchOptions{
-			BudgetBytes: opts.BudgetBytes,
-			BatchRows:   opts.BatchRows,
-			BatchCols:   opts.BatchCols,
-		}
-		bytes += mat.PeakBlockBytes(block, rr, batch)
-	case cost.StrategyNLJ:
-		bytes += int64(rr) * 4
+	return int64(rr+block)*(int64(dim)*4+encodedBytes(j, dim)) +
+		cost.ScanIntermediateBytes(j.Strategy, j.Precision, block, rr, scanBatch(opts))
+}
+
+// encodedBytes is the per-row size of the narrow copy an F16/int8 scan
+// encodes from the float32 embeddings, and 0 for other plans.
+func encodedBytes(j *EJoin, dim int) int64 {
+	if !j.Quantizable() || (j.Precision != quant.PrecisionF16 && j.Precision != quant.PrecisionInt8) {
+		return 0
 	}
-	return bytes
+	return j.Precision.BytesPerVector(dim)
+}
+
+// scanBatch is the blocked driver's batching under the executor options.
+func scanBatch(opts core.Options) mat.BatchOptions {
+	return mat.BatchOptions{
+		BudgetBytes: opts.BudgetBytes,
+		BatchRows:   opts.BatchRows,
+		BatchCols:   opts.BatchCols,
+	}
 }

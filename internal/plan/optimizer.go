@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 
+	"ejoin/internal/core"
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/model"
@@ -36,9 +37,13 @@ type Optimizer struct {
 	// (the default) demands exactness, so plans stay F32 unless the
 	// deployment opts into the trade.
 	PrecisionSlack float64
-	// MemoryBudget bounds the resident embedding bytes precision selection
-	// plans for (<=0 = unconstrained).
+	// MemoryBudget bounds the resident bytes precision selection plans for
+	// (<=0 = unconstrained): each rung's embeddings plus the intermediate
+	// its scan holds under ScanOptions' batching.
 	MemoryBudget int64
+	// ScanOptions are the executor's scan options; only their batching
+	// (BudgetBytes, BatchRows, BatchCols) matters to the optimizer.
+	ScanOptions core.Options
 	// Feedback, when set, supplies multiplicative cardinality corrections
 	// learned from executed queries; the optimizer scales its selectivity
 	// and output estimates by them before cost comparison, so strategy,
@@ -151,7 +156,8 @@ func (o *Optimizer) Optimize(root *EJoin) (*EJoin, error) {
 			if d := inputDim(out.Right); d > dim {
 				dim = d
 			}
-			pc := params.ChooseJoinPrecisionCorrected(lr, rr, dim, o.MemoryBudget, o.PrecisionSlack, ccorr)
+			shape := cost.ScanShape{Strategy: out.Strategy, Batch: scanBatch(o.ScanOptions)}
+			pc := params.ChooseJoinPrecisionCorrected(lr, rr, dim, shape, o.MemoryBudget, o.PrecisionSlack, ccorr)
 			out.Precision = pc.Precision
 			out.PrecisionEstimates = pc.Estimates
 			out.PrecisionSlack = o.PrecisionSlack
@@ -336,7 +342,8 @@ func (o *Optimizer) ChooseSharded(q Query, probe, build []TableRef, swapped bool
 				}
 			}
 		}
-		pc := params.ChooseJoinPrecisionCorrected(estP, estB, dim, o.MemoryBudget, o.PrecisionSlack, corr)
+		shape := cost.ScanShape{Strategy: ch.Strategy, Batch: scanBatch(o.ScanOptions)}
+		pc := params.ChooseJoinPrecisionCorrected(estP, estB, dim, shape, o.MemoryBudget, o.PrecisionSlack, corr)
 		ch.Precision = pc.Precision
 		ch.PrecisionChosen = true
 	}

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"ejoin/internal/core"
 	"ejoin/internal/cost"
+	"ejoin/internal/model"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
@@ -219,3 +221,64 @@ func TestExecutorRejectsPQScan(t *testing.T) {
 }
 
 func strategyPtr(s cost.Strategy) *cost.Strategy { return &s }
+
+// TestNarrowScanAdmissionCoversIntermediate: the admission weight of an
+// F16/int8 plan is at least the similarity block its scan reports
+// holding, under either scan strategy (narrow scans always run the
+// blocked driver) and on both executors. The inputs are large enough
+// that an unbatched block outweighs their embeddings.
+func TestNarrowScanAdmissionCoversIntermediate(t *testing.T) {
+	left, right := streamCorpus(t, 1000, 1)
+	m, err := model.NewHashEmbedder(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{
+		Left:  TableRef{Name: "L", Table: left, TextColumn: "word"},
+		Right: TableRef{Name: "R", Table: right, TextColumn: "term"},
+		Model: m,
+		Join:  JoinSpec{Kind: ThresholdJoin, Threshold: 0.85},
+	}
+	dim := m.Dim()
+	ctx := context.Background()
+	for _, s := range []cost.Strategy{cost.StrategyNLJ, cost.StrategyTensor} {
+		for _, prec := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
+			for _, budget := range []int64{0, 1 << 12} {
+				plan := func() *EJoin {
+					naive, err := NewNaivePlan(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt := forced(s)
+					opt.Precision = prec
+					pl, err := opt.Optimize(naive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return pl
+				}
+				ex := &Executor{Options: core.Options{BudgetBytes: budget}, BlockRows: 64}
+				pl := plan()
+				res, err := ex.Execute(ctx, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peak := res.Stats.PeakIntermediateBytes
+				if peak == 0 {
+					t.Fatalf("%v %v budget %d: scan reports no intermediate", s, prec, budget)
+				}
+				if w := EstimateFootprint(pl, dim, ex.Options); w < peak {
+					t.Errorf("%v %v budget %d: materializing weight %d < scan peak %d", s, prec, budget, w, peak)
+				}
+				pl = plan()
+				res, err = ex.ExecuteStreaming(ctx, pl, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := EstimateFootprintStreaming(pl, dim, ex.Options, ex.BlockRows); w < res.Stats.PeakIntermediateBytes {
+					t.Errorf("%v %v budget %d: streaming weight %d < scan peak %d", s, prec, budget, w, res.Stats.PeakIntermediateBytes)
+				}
+			}
+		}
+	}
+}

@@ -275,6 +275,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	opt := &plan.Optimizer{
 		Params:         cfg.CostParams,
+		ScanOptions:    ex.Options,
 		Store:          store,
 		ForceStrategy:  cfg.ForceStrategy,
 		DisableReorder: cfg.DisableReorder,

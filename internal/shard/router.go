@@ -199,6 +199,7 @@ func Open(cfg Config) (*Router, error) {
 	}
 	r.opt = &plan.Optimizer{
 		Params:         ecfg.CostParams,
+		ScanOptions:    r.exec.Options,
 		Store:          store,
 		ForceStrategy:  ecfg.ForceStrategy,
 		DisableReorder: true,

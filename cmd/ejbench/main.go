@@ -7,8 +7,8 @@
 //	ejbench -exp all -scale 10 -threads 8
 //
 // Each experiment prints the same rows/series as the corresponding table or
-// figure in the paper, at host-scaled sizes (see DESIGN.md for the mapping
-// and EXPERIMENTS.md for recorded paper-vs-measured results).
+// figure in the paper, at host-scaled sizes; -list names the table or
+// figure each one reproduces (see also the README's "Benchmarks" section).
 package main
 
 import (

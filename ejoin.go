@@ -124,7 +124,8 @@ const (
 	TopKJoin = plan.TopKJoin
 )
 
-// Physical strategies (see DESIGN.md for when each wins).
+// Physical strategies; the cost model (internal/cost) picks among them, and
+// the README's "Architecture" section sketches when each wins.
 const (
 	// StrategyNaiveNLJ embeds per compared pair (baseline only).
 	StrategyNaiveNLJ = cost.StrategyNaiveNLJ

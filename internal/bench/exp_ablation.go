@@ -13,10 +13,10 @@ import (
 	"ejoin/internal/workload"
 )
 
-// Extension ablations beyond the paper's figures, for the design choices
-// DESIGN.md calls out: the LSH baseline the paper positions against
-// (Sections IV-A, VII), half-precision storage (Section V-A2), and
-// cached-vs-online embedding (Figure 5, Option 1 vs Option 2).
+// Extension ablations beyond the paper's figures, for design choices the
+// paper discusses but does not plot: the LSH baseline it positions
+// against (Sections IV-A, VII), half-precision storage (Section V-A2),
+// and cached-vs-online embedding (Figure 5, Option 1 vs Option 2).
 
 // expLSH compares the exact tensor join against the SimHash LSH join.
 func expLSH() Experiment {

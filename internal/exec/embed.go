@@ -100,5 +100,5 @@ func (e *Embed) Close() error { return e.Input.Close() }
 func (e *Embed) Stats() OpStats { return e.st }
 
 // BatchStats is the cumulative cache/model accounting across all blocks
-// (the same split the materializing executor reports per side).
+// (the same split the build side's resident embedding reports).
 func (e *Embed) BatchStats() embstore.BatchStats { return e.batch }

@@ -1,7 +1,6 @@
-// Package exec is the streaming block-at-a-time execution engine: a
-// pull-based (Volcano-style) operator pipeline over fixed-size columnar
-// batches, replacing whole-input materialization for the join shapes that
-// do not need it.
+// Package exec is the block-at-a-time execution engine every join plan
+// runs on: a pull-based (Volcano-style) operator pipeline over fixed-size
+// columnar batches.
 //
 // The paper's cost model treats intermediate footprint as a first-class
 // term; materializing both join inputs makes that footprint whole-table-
@@ -13,8 +12,9 @@
 // Operators compose bottom-up: Scan (predicate + projection pushdown) →
 // Embed (chunked through embstore) → optional SemFilter (fused: the same
 // block embeddings feed both the filter and the probe, and dropped rows
-// are never probed) → one probe operator (ThresholdProbe, TopKProbe, or
-// IndexProbe; build side resident) → optional Limit. Each operator tracks
+// are never probed) → one probe operator (ThresholdProbe, TopKProbe,
+// IndexProbe, or the naive plan's per-pair NaiveProbe; build side
+// resident) → optional Limit. Each operator tracks
 // its own OpStats (rows in/out, batches, early-out counts, self time) for
 // EXPLAIN ANALYZE and the /metrics exposition.
 package exec
@@ -59,7 +59,7 @@ func (b *Batch) Len() int { return len(b.Rows) }
 type OpStats struct {
 	// Name identifies the operator in metrics and EXPLAIN ANALYZE
 	// ("scan", "embed", "semfilter", "probe:nlj", "probe:tensor", "probe:topk",
-	// "probe:index", "limit").
+	// "probe:index", "probe:naive-nlj", "limit").
 	Name string
 	// RowsIn/RowsOut count source rows (or matches, for match-valued
 	// operators) entering and leaving the operator.

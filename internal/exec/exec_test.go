@@ -288,7 +288,7 @@ func TestLimitShortCircuits(t *testing.T) {
 
 func TestThresholdProbeOrderedWithinBlock(t *testing.T) {
 	// Matches within a block must come out sorted by (Left, Right) so
-	// block-ascending concatenation is byte-identical to a materializing
+	// block-ascending concatenation is byte-identical to a one-block
 	// run — the property LIMIT's "first N" semantics rest on.
 	build := mat.New(2, 2)
 	copy(build.Row(0), []float32{1, 0})

@@ -32,6 +32,7 @@ func (p *buildSide) remap(probeRows []int, ms []core.Match) []core.Match {
 // foldStats accumulates one kernel invocation's stats into an aggregate:
 // counters and times sum; the peak intermediate is a high-water mark.
 func foldStats(agg *core.Stats, s core.Stats) {
+	agg.ModelCalls += s.ModelCalls
 	agg.Comparisons += s.Comparisons
 	agg.Blocks += s.Blocks
 	agg.JoinTime += s.JoinTime
@@ -49,9 +50,9 @@ func foldStats(agg *core.Stats, s core.Stats) {
 // per-worker scratch; a similarity depends only on its two rows, never on
 // the probe block size. Each kernel call sorts its matches by (probe,
 // build) offset and blocks arrive in ascending probe order, so the
-// concatenated output is globally ordered exactly like the materializing
-// executor's — byte-identical results, which is what the differential
-// harness and LIMIT's first-N semantics rely on.
+// concatenated output is globally ordered by (probe, build) and does not
+// depend on the block size — which is what the block-invariance tests
+// and LIMIT's first-N semantics rely on.
 type ThresholdProbe struct {
 	Input Operator
 	buildSide
@@ -75,8 +76,7 @@ type ThresholdProbe struct {
 	// per-row scales make block-wise encoding identical to whole-matrix
 	// encoding, but the error bound is per pair of max scales, so the
 	// guard re-checks each block against the planner's promised slack and
-	// demotes just that block to F32 (finer-grained than the materializing
-	// path's whole-scan demotion).
+	// demotes just that block to F32.
 	DemotedBlocks int64
 	blocks        int64
 }
@@ -150,8 +150,7 @@ func (p *ThresholdProbe) probeBlock(ctx context.Context, block *mat.Matrix) (*co
 }
 
 // AllDemoted reports whether every probed block fell back to the exact
-// scan — the streaming analogue of the materializing executor's
-// whole-scan demotion, used to keep the plan's reported precision honest.
+// scan, used to keep the plan's reported precision honest.
 func (p *ThresholdProbe) AllDemoted() bool {
 	return p.blocks > 0 && p.DemotedBlocks == p.blocks
 }

@@ -92,6 +92,18 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return histBound(HistBuckets - 1)
 }
 
+// Clone copies the histogram's current counts into a new one that later
+// observations do not change: a scrape snapshots its histograms this way
+// before reading the counters they must not outrun.
+func (h *Histogram) Clone() *Histogram {
+	c := &Histogram{}
+	for i := range h.counts {
+		c.counts[i].Store(h.counts[i].Load())
+	}
+	c.sumNS.Store(h.sumNS.Load())
+	return c
+}
+
 // Count is the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64
@@ -127,6 +139,13 @@ func (v *HistogramVec) With(value string) *Histogram {
 		v.m[value] = h
 	}
 	return h
+}
+
+// Clone copies every histogram of the family (see Histogram.Clone).
+func (v *HistogramVec) Clone() *HistogramVec {
+	c := &HistogramVec{m: make(map[string]*Histogram)}
+	v.Each(func(value string, h *Histogram) { c.m[value] = h.Clone() })
+	return c
 }
 
 // Each visits the family's histograms in sorted label order.

@@ -9,16 +9,16 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/embstore"
 	"ejoin/internal/exec"
-	"ejoin/internal/hnsw"
 	"ejoin/internal/mat"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
-	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
 )
 
-// Executor runs logical plans using the physical operators of package core.
+// Executor runs optimized plans on the block-at-a-time pipeline of
+// package exec (see ExecuteStreaming): the build (inner) side is
+// evaluated resident, and the probe (outer) side streams through it.
 type Executor struct {
 	// Options tunes the physical operators (kernel, threads, memory budget).
 	Options core.Options
@@ -30,8 +30,8 @@ type Executor struct {
 	// calls. Stats.ModelCalls then reports actual model work (misses), not
 	// input cardinality.
 	Store *embstore.Store
-	// BlockRows is the streaming executor's probe-side block size
-	// (ExecuteStreaming); <=0 uses exec.DefaultBlockSize.
+	// BlockRows is the probe-side block size; <=0 uses
+	// exec.DefaultBlockSize. Results do not depend on it.
 	BlockRows int
 }
 
@@ -50,15 +50,12 @@ type ExecResult struct {
 	// cardinality, per-node wall time), mirroring the executed plan. Built
 	// only when the context carries an obs.Trace.
 	Analysis *obs.NodeStats
-	// Streamed reports the block-at-a-time engine executed this plan
-	// (false for the materializing path, including its naive fallback).
-	Streamed bool
-	// Truncated reports a streamed execution stopped early because its
-	// LIMIT was satisfied: Matches holds exactly the first limit matches
+	// Truncated reports the execution stopped early because its LIMIT
+	// was satisfied: Matches holds exactly the first limit matches
 	// and downstream consumers must treat observed cardinality as censored.
 	Truncated bool
-	// Ops are the streaming pipeline's per-operator statistics (rows
-	// in/out, batches, early-out counts, self time); nil when materialized.
+	// Ops are the pipeline's per-operator statistics (rows in/out,
+	// batches, early-out counts, self time), source to sink.
 	Ops []exec.OpStats
 }
 
@@ -72,70 +69,9 @@ type evaluatedInput struct {
 	analysis   *obs.NodeStats // per-node observations (explain executions only)
 }
 
-// Execute runs the plan. The plan's structure is executed faithfully: for
-// the naive strategy, Embed nodes are not pre-evaluated — the join embeds
-// per compared pair, paying the quadratic model cost the cost model
-// predicts, which is how the experiments quantify what the rewrites buy.
-func (ex *Executor) Execute(ctx context.Context, j *EJoin) (*ExecResult, error) {
-	evalEmbeds := j.Strategy != cost.StrategyNaiveNLJ
-	// Analysis (the EXPLAIN ANALYZE tree) is built only when the context
-	// asks for it: plain traced queries keep their spans cheap and skip
-	// all per-node recording.
-	analyze := obs.AnalyzeFromContext(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
-	}
-	left, err := ex.evalInput(ctx, j.Left, evalEmbeds, analyze)
-	if err != nil {
-		return nil, fmt.Errorf("plan: evaluating left input: %w", err)
-	}
-	right, err := ex.evalInput(ctx, j.Right, evalEmbeds, analyze)
-	if err != nil {
-		return nil, fmt.Errorf("plan: evaluating right input: %w", err)
-	}
-	// Checkpoint between prefetch and join: a request cancelled while
-	// embedding must not start the (potentially large) comparison phase.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("plan: execute cancelled after prefetch: %w", err)
-	}
-
-	res, err := ex.join(ctx, j, left, right)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.ModelCalls += left.modelCalls + right.modelCalls
-	res.Stats.EmbedTime += left.embedTime + right.embedTime
-
-	if j.Swapped {
-		for i, m := range res.Matches {
-			res.Matches[i] = core.Match{Left: m.Right, Right: m.Left, Sim: m.Sim}
-		}
-		res.LeftRows, res.RightRows = res.RightRows, res.LeftRows
-	}
-	if analyze {
-		est := j.EstRows
-		if est <= 0 {
-			est = -1 // hand-built plans carry no estimate
-		}
-		detail := map[string]int64{"comparisons": res.Stats.Comparisons}
-		if res.Stats.Blocks > 0 {
-			detail["blocks"] = int64(res.Stats.Blocks)
-		}
-		res.Analysis = &obs.NodeStats{
-			Name:     j.Explain(),
-			EstRows:  est,
-			ObsRows:  int64(len(res.Matches)),
-			Elapsed:  res.Stats.JoinTime,
-			Detail:   obs.AttrsDetail(detail),
-			Children: []*obs.NodeStats{left.analysis, right.analysis},
-		}
-	}
-	return res, nil
-}
-
 // evalInput walks a Scan/Filter/Embed subtree in its written order.
-// evalEmbeds=false skips Embed nodes (naive strategy: the join operator
-// itself invokes the model per pair). analyze=true additionally builds
+// evalEmbeds=false skips Embed nodes (the naive strategy's per-pair
+// probe invokes the model itself). analyze=true additionally builds
 // the per-node observation tree for EXPLAIN ANALYZE.
 func (ex *Executor) evalInput(ctx context.Context, n Node, evalEmbeds, analyze bool) (*evaluatedInput, error) {
 	switch t := n.(type) {
@@ -294,31 +230,6 @@ func childEst(child *obs.NodeStats) int64 {
 	return child.EstRows
 }
 
-// join wraps the strategy dispatch in its trace span: "join:<strategy>"
-// for scans, "index.probe" for index probes — plus a synthetic "rerank"
-// span when the index reported exact-rescoring time (IVF-PQ).
-func (ex *Executor) join(ctx context.Context, j *EJoin, left, right *evaluatedInput) (*ExecResult, error) {
-	tr := obs.FromContext(ctx)
-	name := "index.probe"
-	if j.Strategy != cost.StrategyIndex {
-		name = "join:" + strategyLabel(j.Strategy)
-	}
-	sp := tr.StartSpan(name)
-	out, err := ex.joinDispatch(ctx, j, left, right)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.Attr("comparisons", out.Stats.Comparisons).
-		Attr("matches", int64(len(out.Matches))).End()
-	if rt := out.Stats.RerankTime; rt > 0 && tr != nil {
-		// The rerank interval is measured inside the index; anchor it at
-		// the tail of the probe span it is a subset of.
-		tr.AddSpan("rerank", tr.Since()-rt, rt, nil)
-	}
-	return out, err
-}
-
 // strategyLabel is the span-vocabulary name for a scan strategy.
 func strategyLabel(s cost.Strategy) string {
 	switch s {
@@ -333,156 +244,6 @@ func strategyLabel(s cost.Strategy) string {
 	}
 }
 
-// joinDispatch dispatches to the physical strategy. Match offsets are
-// remapped to global row ids before returning.
-func (ex *Executor) joinDispatch(ctx context.Context, j *EJoin, left, right *evaluatedInput) (*ExecResult, error) {
-	out := &ExecResult{Strategy: j.Strategy, LeftRows: left.rows, RightRows: right.rows}
-
-	if j.Strategy == cost.StrategyNaiveNLJ {
-		res, err := ex.naiveJoin(ctx, j, left, right)
-		if err != nil {
-			return nil, err
-		}
-		out.Matches = res.Matches
-		out.Stats = res.Stats
-		return out, nil
-	}
-
-	if left.embeddings == nil || (right.embeddings == nil && j.Strategy != cost.StrategyIndex) {
-		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
-	}
-
-	var res *core.Result
-	var err error
-	switch j.Strategy {
-	case cost.StrategyNLJ:
-		if j.Spec.Kind == TopKJoin {
-			res, err = core.TensorTopK(ctx, left.embeddings, right.embeddings, j.Spec.K, ex.Options)
-		} else {
-			res, err = ex.thresholdScan(ctx, j, left, right, false)
-		}
-	case cost.StrategyTensor:
-		if j.Spec.Kind == TopKJoin {
-			res, err = core.TensorTopK(ctx, left.embeddings, right.embeddings, j.Spec.K, ex.Options)
-		} else {
-			res, err = ex.thresholdScan(ctx, j, left, right, true)
-		}
-	case cost.StrategyIndex:
-		res, err = ex.indexJoin(ctx, j, left, right)
-		if err != nil {
-			return nil, err
-		}
-		// Index matches already carry global right ids.
-		for _, m := range res.Matches {
-			out.Matches = append(out.Matches, core.Match{Left: left.rows[m.Left], Right: m.Right, Sim: m.Sim})
-		}
-		out.Stats = res.Stats
-		return out, nil
-	default:
-		return nil, fmt.Errorf("plan: unsupported strategy %v", j.Strategy)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Range condition over top-k: apply the residual threshold.
-	matches := res.Matches
-	if j.Spec.Kind == TopKJoin && j.Spec.Threshold > -1 {
-		filtered := matches[:0]
-		for _, m := range matches {
-			if m.Sim >= j.Spec.Threshold {
-				filtered = append(filtered, m)
-			}
-		}
-		matches = filtered
-	}
-	for _, m := range matches {
-		out.Matches = append(out.Matches, core.Match{Left: left.rows[m.Left], Right: right.rows[m.Right], Sim: m.Sim})
-	}
-	out.Stats = res.Stats
-	return out, nil
-}
-
-// thresholdScan executes a threshold scan at the plan's precision: exact
-// F32 (tensor-blocked or tuple-at-a-time per the strategy), or the F16 /
-// INT8 rungs of the precision ladder. Quantized scans always run on the
-// tensor join's blocked driver, decoding each panel of narrow rows into
-// float32 scratch for the tiled kernel; inputs are encoded on the fly
-// from the prefetched float32 embeddings (the planner charged for that
-// pass).
-func (ex *Executor) thresholdScan(ctx context.Context, j *EJoin, left, right *evaluatedInput, tensor bool) (*core.Result, error) {
-	// The float32 inputs are released as soon as the quantized copies
-	// exist, so the scan's steady-state residency is the quantized bytes
-	// plus the blocked driver's similarity block, which is what the
-	// precision planner and the admission estimate charge (the encode
-	// itself transiently holds both encodings).
-	switch j.Precision {
-	case quant.PrecisionF16:
-		lq, rq := mat.EncodeF16(left.embeddings), mat.EncodeF16(right.embeddings)
-		left.embeddings, right.embeddings = nil, nil
-		return core.NLJF16(ctx, lq, rq, j.Spec.Threshold, ex.Options)
-	case quant.PrecisionInt8:
-		lq, rq := quant.EncodeInt8(left.embeddings), quant.EncodeInt8(right.embeddings)
-		// The planner's int8 error constant assumes dense unit-norm
-		// embeddings. The encoded scales give the exact bound for THIS
-		// data; when a cost-based choice's promised slack cannot cover it
-		// (sparse or near-one-hot vectors), demote to the exact scan
-		// rather than silently drift past the promise. Forced precisions
-		// (per-table knob, Optimizer.Precision) carry no slack and are an
-		// explicit operator opt-in, so they never demote.
-		if j.PrecisionSlack > 0 &&
-			float64(quant.Int8DotErrorBound(lq.Cols(), lq.MaxScale(), rq.MaxScale())) > j.PrecisionSlack {
-			j.Precision = quant.PrecisionF32 // keep plan/stats honest about what ran
-			break
-		}
-		left.embeddings, right.embeddings = nil, nil
-		return core.NLJI8(ctx, lq, rq, j.Spec.Threshold, ex.Options)
-	case quant.PrecisionPQ:
-		return nil, fmt.Errorf("plan: pq is an index access path, not a scan precision")
-	}
-	if tensor {
-		return core.TensorJoin(ctx, left.embeddings, right.embeddings, j.Spec.Threshold, ex.Options)
-	}
-	return core.NLJ(ctx, left.embeddings, right.embeddings, j.Spec.Threshold, ex.Options)
-}
-
-func (ex *Executor) indexJoin(ctx context.Context, j *EJoin, left, right *evaluatedInput) (*core.Result, error) {
-	idx := right.ref.Index
-	if idx == nil {
-		// Build one on the fly over the full right table (the build cost
-		// the optimizer charged for).
-		if right.embeddings == nil {
-			return nil, fmt.Errorf("plan: index strategy without index or embeddings on %q", right.ref.Name)
-		}
-		built, err := core.BuildIndex(right.embeddings, hnsw.ConfigLo())
-		if err != nil {
-			return nil, err
-		}
-		// Embeddings rows are positions within right.rows; remap filter.
-		cond, opts := ex.indexCond(j), ex.Options
-		opts.RightFilter = nil
-		res, err := core.IndexJoin(ctx, left.embeddings, built, cond, opts)
-		if err != nil {
-			return nil, err
-		}
-		for i, m := range res.Matches {
-			res.Matches[i] = core.Match{Left: m.Left, Right: right.rows[m.Right], Sim: m.Sim}
-		}
-		return res, nil
-	}
-	// The index must cover every physical row; it may cover MORE (under
-	// live mutation the index runs ahead of the generation snapshot a
-	// query pinned — rows appended after the snapshot are indexed but not
-	// visible). The RightFilter below masks both tombstones and
-	// beyond-snapshot entries, so a superset index stays correct.
-	if idx.Len() < right.ref.Table.NumRows() {
-		return nil, fmt.Errorf("plan: index over %q has %d entries, table has %d rows",
-			right.ref.Name, idx.Len(), right.ref.Table.NumRows())
-	}
-	opts := ex.Options
-	opts.RightFilter = relational.BitmapFromSelection(right.ref.Table.NumRows(), right.rows)
-	return core.IndexJoinWith(ctx, left.embeddings, idx, ex.indexCond(j), opts)
-}
-
 func (ex *Executor) indexCond(j *EJoin) core.IndexJoinCondition {
 	cond := core.IndexJoinCondition{K: j.Spec.K, MinSim: -2, Ef: ex.IndexEf}
 	if j.Spec.Kind == ThresholdJoin {
@@ -493,58 +254,6 @@ func (ex *Executor) indexCond(j *EJoin) core.IndexJoinCondition {
 		cond.MinSim = j.Spec.Threshold
 	}
 	return cond
-}
-
-// naiveJoin executes the unoptimized per-pair-embedding join.
-func (ex *Executor) naiveJoin(ctx context.Context, j *EJoin, left, right *evaluatedInput) (*core.Result, error) {
-	if j.Spec.Kind != ThresholdJoin {
-		return nil, fmt.Errorf("plan: naive strategy supports only threshold joins")
-	}
-	// With precomputed vectors there is no model to call per pair; the
-	// naive plan degenerates to the prefetched NLJ (embedding a remaining
-	// text side once).
-	if left.embeddings != nil || right.embeddings != nil {
-		if err := ex.ensureEmbedded(ctx, j.Left, left); err != nil {
-			return nil, err
-		}
-		if err := ex.ensureEmbedded(ctx, j.Right, right); err != nil {
-			return nil, err
-		}
-		res, err := core.NLJ(ctx, left.embeddings, right.embeddings, j.Spec.Threshold, ex.Options)
-		if err != nil {
-			return nil, err
-		}
-		remapped := make([]core.Match, len(res.Matches))
-		for i, m := range res.Matches {
-			remapped[i] = core.Match{Left: left.rows[m.Left], Right: right.rows[m.Right], Sim: m.Sim}
-		}
-		res.Matches = remapped
-		return res, nil
-	}
-	mdl, lTexts, err := naiveTexts(j.Left, left)
-	if err != nil {
-		return nil, err
-	}
-	mdl2, rTexts, err := naiveTexts(j.Right, right)
-	if err != nil {
-		return nil, err
-	}
-	if mdl == nil {
-		mdl = mdl2
-	}
-	if mdl == nil {
-		return nil, fmt.Errorf("plan: naive join has no model")
-	}
-	res, err := core.NaiveNLJ(ctx, mdl, lTexts, rTexts, j.Spec.Threshold, ex.Options)
-	if err != nil {
-		return nil, err
-	}
-	remapped := make([]core.Match, len(res.Matches))
-	for i, m := range res.Matches {
-		remapped[i] = core.Match{Left: left.rows[m.Left], Right: right.rows[m.Right], Sim: m.Sim}
-	}
-	res.Matches = remapped
-	return res, nil
 }
 
 // embed evaluates E_µ over texts: through the shared store when one is
@@ -561,60 +270,6 @@ func (ex *Executor) embed(ctx context.Context, m model.Model, texts []string) (*
 		return nil, embstore.BatchStats{}, err
 	}
 	return emb, bs, nil
-}
-
-// ensureEmbedded embeds in's surviving texts when embeddings are missing.
-func (ex *Executor) ensureEmbedded(ctx context.Context, n Node, in *evaluatedInput) error {
-	if in.embeddings != nil {
-		return nil
-	}
-	mdl, texts, err := naiveTexts(n, in)
-	if err != nil {
-		return err
-	}
-	if mdl == nil {
-		return fmt.Errorf("plan: input %q has neither embeddings nor a model", in.ref.Name)
-	}
-	sp := obs.FromContext(ctx).StartSpan("embed")
-	emb, bs, err := ex.embed(ctx, mdl, texts)
-	if err != nil {
-		return err
-	}
-	sp.Attr("hits", bs.Hits).Attr("misses", bs.Misses).
-		Attr("merged", bs.Merged).Attr("model_calls", bs.ModelCalls).End()
-	in.embeddings = emb
-	in.modelCalls += bs.ModelCalls
-	return nil
-}
-
-func naiveTexts(n Node, in *evaluatedInput) (model.Model, []string, error) {
-	var mdl model.Model
-	var column string
-	for cur := n; cur != nil; {
-		switch t := cur.(type) {
-		case *Embed:
-			mdl, column = t.Model, t.Column
-			cur = t.Input
-		case *Filter:
-			cur = t.Input
-		case *Scan:
-			cur = nil
-		default:
-			cur = nil
-		}
-	}
-	if column == "" {
-		column = in.ref.TextColumn
-	}
-	col, err := in.ref.Table.Strings(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	texts := make([]string, len(in.rows))
-	for i, r := range in.rows {
-		texts[i] = col[r]
-	}
-	return mdl, texts, nil
 }
 
 // MaterializeResult builds the joined output table: left columns (l_),
@@ -649,7 +304,7 @@ func Run(ctx context.Context, q Query, ex *Executor, opt *Optimizer) (*ExecResul
 	if ex == nil {
 		ex = &Executor{Options: core.Options{Kernel: vec.DefaultKernel()}}
 	}
-	res, err := ex.Execute(ctx, optimized)
+	res, err := ex.ExecuteStreaming(ctx, optimized, 0)
 	if err != nil {
 		return nil, nil, err
 	}

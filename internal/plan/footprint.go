@@ -9,43 +9,21 @@ import (
 )
 
 // EstimateFootprint estimates the peak resident bytes executing j will
-// pin: the prefetched embedding matrices of both (post-filter) inputs, the
-// encoded copies an F16/int8 scan builds from them, and the scan's
-// intermediate under the executor's batching options
-// (cost.ScanIntermediateBytes: the blocked driver's similarity block for
-// tensor and every F16/int8 scan). dim is the embedding dimensionality
-// (the model's, or the vector column's).
+// pin: the resident build side plus one probe block of embeddings (the
+// pipeline never holds the whole probe side), the encoded copies an
+// F16/int8 scan builds from them, and the scan's intermediate under the
+// executor's batching options (cost.ScanIntermediateBytes: the blocked
+// driver's similarity block for tensor and every F16/int8 scan). dim is
+// the embedding dimensionality (the model's, or the vector column's);
+// blockRows <=0 uses exec.DefaultBlockSize.
 //
 // This is the weight a serving layer charges against its admission
 // budget before letting the query execute: it bounds aggregate memory
 // pressure across concurrent queries using the same estimates the cost
 // model plans with, not runtime measurements taken too late to help.
-func EstimateFootprint(j *EJoin, dim int, opts core.Options) int64 {
+func EstimateFootprint(j *EJoin, dim int, opts core.Options, blockRows int) int64 {
 	if j == nil {
 		return 0
-	}
-	lr, rr := estimateRows(j.Left), estimateRows(j.Right)
-	if dim < 1 {
-		dim = 1
-	}
-	return int64(lr+rr)*(int64(dim)*4+encodedBytes(j, dim)) +
-		cost.ScanIntermediateBytes(j.Strategy, j.Precision, lr, rr, scanBatch(opts))
-}
-
-// EstimateFootprintStreaming is the admission weight of a streamed plan:
-// the resident build side plus one probe block, instead of both whole
-// inputs. This is the fix for over-admission starvation — charging
-// whole-intermediate bytes for a pipeline that never materializes them
-// serialized queries that could have run concurrently under the same
-// budget. blockRows <=0 uses exec.DefaultBlockSize. Non-streamable plans
-// (naive) fall back to the materializing estimate, mirroring
-// ExecuteStreaming's own fallback.
-func EstimateFootprintStreaming(j *EJoin, dim int, opts core.Options, blockRows int) int64 {
-	if j == nil {
-		return 0
-	}
-	if !Streamable(j) {
-		return EstimateFootprint(j, dim, opts)
 	}
 	if blockRows <= 0 {
 		blockRows = exec.DefaultBlockSize

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestOptimizerPrecisionSlackChoosesQuantized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quantized, err := (&Executor{}).Execute(ctx, pl)
+	quantized, err := (&Executor{}).ExecuteStreaming(ctx, pl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestOptimizerForcedPrecision(t *testing.T) {
 	if pl.Precision != quant.PrecisionF16 {
 		t.Fatalf("forced precision not honored: %v", pl.Precision)
 	}
-	if _, err := (&Executor{}).Execute(context.Background(), pl); err != nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,19 +144,9 @@ func TestOptimizerMemoryBudgetQuantizes(t *testing.T) {
 	}
 }
 
-// TestExecutorDemotesInt8OnSparseData: the planner's int8 constant
-// assumes dense embeddings; when the encoded scales of the actual data
-// give an error bound above the promised slack (near-one-hot vectors),
-// the executor falls back to the exact scan instead of silently
-// drifting, and the plan reports what actually ran.
-func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
-	dim, n := 100, 8
-	rows := make([][]float32, n)
-	for i := range rows {
-		v := make([]float32, dim)
-		v[i] = 1 // one-hot: maxabs = 1, exact bound ≈ √d/127 ≈ 0.079
-		rows[i] = v
-	}
+// vectorTable is a one-column VECTOR table.
+func vectorTable(t *testing.T, rows [][]float32) *relational.Table {
+	t.Helper()
 	col, err := relational.NewVectorColumn(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -167,18 +158,21 @@ func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{
-		Left:  TableRef{Name: "L", Table: tbl, VectorColumn: "emb"},
-		Right: TableRef{Name: "R", Table: tbl, VectorColumn: "emb"},
-		Join:  JoinSpec{Kind: ThresholdJoin, Threshold: 0.9},
-	}
+	return tbl
+}
+
+// int8Plan plans q as the planner's cost-based int8 choice: slack above
+// int8's planning constant (0.032) but below the exact bound of one-hot
+// data (≈ √d/127 ≈ 0.079), and a budget only the smallest rung fits.
+func int8Plan(t *testing.T, q Query) *EJoin {
+	t.Helper()
 	naive, err := NewNaivePlan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := NewOptimizer()
-	opt.PrecisionSlack = 0.05 // above int8's planning constant, below the one-hot bound
-	opt.MemoryBudget = 64     // bytes: below every rung, so the smallest (int8) wins
+	opt.PrecisionSlack = 0.05
+	opt.MemoryBudget = 64 // bytes: below every rung, so the smallest (int8) wins
 	pl, err := opt.Optimize(naive)
 	if err != nil {
 		t.Fatal(err)
@@ -186,16 +180,66 @@ func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
 	if pl.Precision != quant.PrecisionInt8 {
 		t.Fatalf("planner chose %v; test needs an int8 plan", pl.Precision)
 	}
-	res, err := (&Executor{}).Execute(context.Background(), pl)
+	return pl
+}
+
+// TestExecutorDemotesInt8OnSparseData: the planner's int8 constant
+// assumes dense embeddings; when the encoded scales of a probe block give
+// an error bound above the promised slack (near-one-hot vectors), that
+// block runs the exact scan instead of silently drifting. The plan
+// reports F32 only when every block demoted; a plan whose dense blocks
+// ran int8 keeps reporting int8.
+func TestExecutorDemotesInt8OnSparseData(t *testing.T) {
+	const dim, n = 100, 8
+	oneHot := make([][]float32, n)
+	for i := range oneHot {
+		oneHot[i] = make([]float32, dim)
+		oneHot[i][i] = 1 // maxabs = 1
+	}
+	sparse := vectorTable(t, oneHot)
+	q := Query{
+		Left:  TableRef{Name: "L", Table: sparse, VectorColumn: "emb"},
+		Right: TableRef{Name: "R", Table: sparse, VectorColumn: "emb"},
+		Join:  JoinSpec{Kind: ThresholdJoin, Threshold: 0.9},
+	}
+	for _, rows := range []int{1, 3, 0} {
+		pl := int8Plan(t, q)
+		res, err := (&Executor{BlockRows: rows}).ExecuteStreaming(context.Background(), pl, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Precision != quant.PrecisionF32 {
+			t.Fatalf("BlockRows=%d: sparse data not demoted: plan still %v", rows, pl.Precision)
+		}
+		// Exact self-join: exactly the n diagonal pairs.
+		if len(res.Matches) != n {
+			t.Fatalf("BlockRows=%d: %d matches, want %d", rows, len(res.Matches), n)
+		}
+	}
+
+	// Four one-hot probe rows, then four dense ones, against the dense
+	// rows: the first block demotes, the second runs int8.
+	rng := rand.New(rand.NewSource(5))
+	dense := make([][]float32, 4)
+	for i := range dense {
+		dense[i] = make([]float32, dim)
+		for d := range dense[i] {
+			dense[i][d] = float32(rng.NormFloat64())
+		}
+	}
+	q.Left.Table = vectorTable(t, append(oneHot[:4:4], dense...))
+	q.Right.Table = vectorTable(t, dense)
+	pl := int8Plan(t, q)
+	res, err := (&Executor{BlockRows: 4}).ExecuteStreaming(context.Background(), pl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Precision != quant.PrecisionF32 {
-		t.Fatalf("sparse data not demoted: plan still %v", pl.Precision)
+	if pl.Precision != quant.PrecisionInt8 {
+		t.Fatalf("mixed blocks: plan reports %v, want int8 (only one block demoted)", pl.Precision)
 	}
-	// Exact self-join: exactly the n diagonal pairs.
-	if len(res.Matches) != n {
-		t.Fatalf("%d matches, want %d", len(res.Matches), n)
+	assertOracle(t, oracleOf(t, q), res, pl)
+	if len(res.Matches) != len(dense) {
+		t.Fatalf("mixed blocks: %d matches, want the %d dense self-pairs", len(res.Matches), len(dense))
 	}
 }
 
@@ -215,7 +259,7 @@ func TestExecutorRejectsPQScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Precision = quant.PrecisionPQ
-	if _, err := (&Executor{}).Execute(context.Background(), pl); err == nil {
+	if _, err := (&Executor{}).ExecuteStreaming(context.Background(), pl, 0); err == nil {
 		t.Fatal("expected error for pq scan precision")
 	}
 }
@@ -225,8 +269,8 @@ func strategyPtr(s cost.Strategy) *cost.Strategy { return &s }
 // TestNarrowScanAdmissionCoversIntermediate: the admission weight of an
 // F16/int8 plan is at least the similarity block its scan reports
 // holding, under either scan strategy (narrow scans always run the
-// blocked driver) and on both executors. The inputs are large enough
-// that an unbatched block outweighs their embeddings.
+// blocked driver). The inputs are large enough that an unbatched block
+// outweighs their embeddings.
 func TestNarrowScanAdmissionCoversIntermediate(t *testing.T) {
 	left, right := streamCorpus(t, 1000, 1)
 	m, err := model.NewHashEmbedder(32)
@@ -244,22 +288,18 @@ func TestNarrowScanAdmissionCoversIntermediate(t *testing.T) {
 	for _, s := range []cost.Strategy{cost.StrategyNLJ, cost.StrategyTensor} {
 		for _, prec := range []quant.Precision{quant.PrecisionF16, quant.PrecisionInt8} {
 			for _, budget := range []int64{0, 1 << 12} {
-				plan := func() *EJoin {
-					naive, err := NewNaivePlan(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opt := forced(s)
-					opt.Precision = prec
-					pl, err := opt.Optimize(naive)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return pl
+				naive, err := NewNaivePlan(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := forced(s)
+				opt.Precision = prec
+				pl, err := opt.Optimize(naive)
+				if err != nil {
+					t.Fatal(err)
 				}
 				ex := &Executor{Options: core.Options{BudgetBytes: budget}, BlockRows: 64}
-				pl := plan()
-				res, err := ex.Execute(ctx, pl)
+				res, err := ex.ExecuteStreaming(ctx, pl, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,16 +307,8 @@ func TestNarrowScanAdmissionCoversIntermediate(t *testing.T) {
 				if peak == 0 {
 					t.Fatalf("%v %v budget %d: scan reports no intermediate", s, prec, budget)
 				}
-				if w := EstimateFootprint(pl, dim, ex.Options); w < peak {
-					t.Errorf("%v %v budget %d: materializing weight %d < scan peak %d", s, prec, budget, w, peak)
-				}
-				pl = plan()
-				res, err = ex.ExecuteStreaming(ctx, pl, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w := EstimateFootprintStreaming(pl, dim, ex.Options, ex.BlockRows); w < res.Stats.PeakIntermediateBytes {
-					t.Errorf("%v %v budget %d: streaming weight %d < scan peak %d", s, prec, budget, w, res.Stats.PeakIntermediateBytes)
+				if w := EstimateFootprint(pl, dim, ex.Options, ex.BlockRows); w < peak {
+					t.Errorf("%v %v budget %d: admission weight %d < scan peak %d", s, prec, budget, w, peak)
 				}
 			}
 		}

@@ -1,13 +1,12 @@
 package plan
 
-// Streaming execution: lowering an optimized EJoin tree into an
-// internal/exec operator pipeline. The build (inner) side is evaluated
-// resident exactly as the materializing executor would — same embedding
-// path, same stats — while the probe (outer) side streams through
-// Scan → Embed → probe in fixed-size blocks. Because every kernel sorts
-// its matches by (probe, build) offset and blocks arrive in ascending
-// probe order, the streamed output is byte-identical to the materialized
-// one, which the differential harness asserts per query shape.
+// Execution: lowering an optimized EJoin tree into an internal/exec
+// operator pipeline. The build (inner) side is evaluated resident, while
+// the probe (outer) side streams through Scan → Embed → probe in
+// fixed-size blocks. Because every kernel sorts its matches by (probe,
+// build) offset and blocks arrive in ascending probe order, the output
+// does not depend on the block size: one block holding the whole probe
+// side is the whole-input computation, byte for byte.
 
 import (
 	"context"
@@ -18,16 +17,27 @@ import (
 	"ejoin/internal/cost"
 	"ejoin/internal/exec"
 	"ejoin/internal/hnsw"
+	"ejoin/internal/model"
 	"ejoin/internal/obs"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 )
 
-// Streamable reports whether j can execute block-at-a-time. The naive
-// strategy cannot: its defining cost is per-pair model calls inside the
-// join, which has no build/probe decomposition to stream.
-func Streamable(j *EJoin) bool {
-	return j != nil && j.Strategy != cost.StrategyNaiveNLJ
+// perPairNaive reports whether j embeds per compared pair: the naive
+// strategy over two text inputs. With a vector column on either side
+// there is no per-pair model call to make, and the naive plan runs as the
+// prefetched tuple-at-a-time NLJ.
+func perPairNaive(j *EJoin) bool {
+	if j.Strategy != cost.StrategyNaiveNLJ {
+		return false
+	}
+	for _, n := range []Node{j.Left, j.Right} {
+		pc, err := walkProbeChain(n)
+		if err == nil && pc.scanNode.Ref.VectorColumn != "" {
+			return false
+		}
+	}
+	return true
 }
 
 // probeChain is the probe side's lowered Scan/Filter/Embed chain.
@@ -62,16 +72,34 @@ func walkProbeChain(n Node) (*probeChain, error) {
 	}
 }
 
+// probeOp is a pipeline's one join operator.
+type probeOp interface {
+	exec.Operator
+	CoreStats() core.Stats
+}
+
+// textSource is the model and text column the chain's input embeds
+// with: its Embed node's, or the scan's text column (no model) when the
+// chain has none.
+func (pc *probeChain) textSource() (model.Model, string) {
+	for _, n := range pc.above {
+		if e, ok := n.(*Embed); ok {
+			return e.Model, e.Column
+		}
+	}
+	return nil, pc.scanNode.Ref.TextColumn
+}
+
 // loweredPipeline holds the assembled operators plus the typed references
 // the post-drain accounting needs.
 type loweredPipeline struct {
-	top       exec.Operator
-	scan      *exec.Scan
-	filters   []*exec.RowFilter
-	embed     *exec.Embed
+	top     exec.Operator
+	scan    *exec.Scan
+	filters []*exec.RowFilter
+	embed   *exec.Embed
+	probe   probeOp
+	// threshold is probe when it is a threshold scan (int8 demotion).
 	threshold *exec.ThresholdProbe
-	topk      *exec.TopKProbe
-	index     *exec.IndexProbe
 	limit     *exec.Limit
 	// nodes mirrors the operators' plan nodes for EXPLAIN ANALYZE naming.
 	scanNode    *Scan
@@ -97,14 +125,14 @@ func (b *BuildSide) ModelCalls() int64 { return b.in.modelCalls }
 // EmbedTime is the build evaluation's embedding wall time.
 func (b *BuildSide) EmbedTime() time.Duration { return b.in.embedTime }
 
-// EvalBuild evaluates j's build (right) side resident, through the same
-// path the materializing executor uses, so embedding behavior, model-call
-// accounting, and the MVCC snapshot view are identical by construction.
+// EvalBuild evaluates j's build (right) side resident: its MVCC snapshot
+// view, predicates, and embeddings (texts only, for the naive strategy's
+// per-pair probe).
 func (ex *Executor) EvalBuild(ctx context.Context, j *EJoin) (*BuildSide, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
-	right, err := ex.evalInput(ctx, j.Right, true, obs.AnalyzeFromContext(ctx))
+	right, err := ex.evalInput(ctx, j.Right, !perPairNaive(j), obs.AnalyzeFromContext(ctx))
 	if err != nil {
 		return nil, fmt.Errorf("plan: evaluating build input: %w", err)
 	}
@@ -122,8 +150,8 @@ type Stream struct {
 	build *BuildSide
 	// leftRows is the probe side's full post-predicate selection, known
 	// at Open (predicates are evaluated once, not per block), so feedback
-	// sees the same surviving-row sets as the materializing path even
-	// when a LIMIT cuts the stream short.
+	// sees the complete surviving-row sets even when a LIMIT cuts the
+	// stream short.
 	leftRows relational.Selection
 }
 
@@ -132,9 +160,6 @@ type Stream struct {
 // after limit matches and Finish marks the result Truncated. The caller
 // must Close the returned stream.
 func (ex *Executor) OpenStream(ctx context.Context, j *EJoin, build *BuildSide, limit int) (*Stream, error) {
-	if !Streamable(j) {
-		return nil, fmt.Errorf("plan: strategy %v is not streamable", j.Strategy)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: execute cancelled: %w", err)
 	}
@@ -192,7 +217,6 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 		Strategy:  j.Strategy,
 		LeftRows:  s.leftRows,
 		RightRows: s.build.in.rows,
-		Streamed:  true,
 	}
 	if lp.limit != nil {
 		res.Truncated = lp.limit.Truncated
@@ -200,7 +224,7 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 	if lp.threshold != nil && j.Precision == quant.PrecisionInt8 && lp.threshold.AllDemoted() {
 		j.Precision = quant.PrecisionF32 // keep plan/stats honest about what ran
 	}
-	res.Stats = lp.coreStats()
+	res.Stats = lp.probe.CoreStats()
 	if lp.embed != nil {
 		bs := lp.embed.BatchStats()
 		res.Stats.ModelCalls += bs.ModelCalls
@@ -221,15 +245,10 @@ func (s *Stream) Finish(ctx context.Context, matches []core.Match) *ExecResult {
 	return res
 }
 
-// ExecuteStreaming runs the plan block-at-a-time. limit > 0 installs a
-// LIMIT short-circuit: the stream stops after limit matches and the
-// result is marked Truncated. Plans the streaming engine cannot run
-// (naive strategy) fall back to the materializing Execute, so callers can
-// use this as their single entry point.
+// ExecuteStreaming runs the plan block-at-a-time; it is the one way a
+// plan executes. limit > 0 installs a LIMIT short-circuit: the stream
+// stops after limit matches and the result is marked Truncated.
 func (ex *Executor) ExecuteStreaming(ctx context.Context, j *EJoin, limit int) (*ExecResult, error) {
-	if !Streamable(j) {
-		return ex.Execute(ctx, j)
-	}
 	build, err := ex.EvalBuild(ctx, j)
 	if err != nil {
 		return nil, err
@@ -268,6 +287,7 @@ func (ex *Executor) lowerProbe(j *EJoin, right *evaluatedInput) (*loweredPipelin
 	if err != nil {
 		return nil, err
 	}
+	naive := perPairNaive(j)
 	ref := pc.scanNode.Ref
 	lp := &loweredPipeline{
 		scanNode: pc.scanNode,
@@ -291,15 +311,17 @@ func (ex *Executor) lowerProbe(j *EJoin, right *evaluatedInput) (*loweredPipelin
 				continue
 			}
 			// A filter above E_µ stays above it: the un-pushed-down plan
-			// embeds every scanned row, and streaming must do the same
-			// work to report the same stats.
+			// embeds every scanned row, and execution must do the same
+			// work to report the model cost the plan was chosen under.
 			rf := &exec.RowFilter{Input: src, Table: ref.Table, Preds: t.Preds}
 			lp.filters = append(lp.filters, rf)
 			lp.filterNodes = append(lp.filterNodes, t)
 			src = rf
 		case *Embed:
-			if ref.VectorColumn != "" {
-				lp.embedNode = t // pass-through: scan projects the vectors
+			lp.embedNode = t
+			if ref.VectorColumn != "" || naive {
+				// Pass-through: the scan projects the vectors, or the
+				// naive probe embeds per pair.
 				continue
 			}
 			lp.embed = &exec.Embed{
@@ -310,14 +332,16 @@ func (ex *Executor) lowerProbe(j *EJoin, right *evaluatedInput) (*loweredPipelin
 				Store:   ex.Store,
 				Threads: ex.Options.Threads,
 			}
-			lp.embedNode = t
 			src = lp.embed
 		}
 	}
-	if lp.embed == nil && ref.VectorColumn == "" {
+	if lp.embed == nil && ref.VectorColumn == "" && !naive {
 		return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
 	}
 
+	if j.Strategy == cost.StrategyNaiveNLJ && j.Spec.Kind != ThresholdJoin {
+		return nil, fmt.Errorf("plan: naive strategy supports only threshold joins")
+	}
 	switch j.Strategy {
 	case cost.StrategyIndex:
 		op, err := ex.lowerIndexProbe(j, right)
@@ -325,37 +349,84 @@ func (ex *Executor) lowerProbe(j *EJoin, right *evaluatedInput) (*loweredPipelin
 			return nil, err
 		}
 		op.Input = src
-		lp.index = op
-		lp.top = op
-	case cost.StrategyNLJ, cost.StrategyTensor:
+		lp.probe = op
+	case cost.StrategyNaiveNLJ, cost.StrategyNLJ, cost.StrategyTensor:
+		if naive {
+			op, err := lowerNaiveProbe(j, pc, right)
+			if err != nil {
+				return nil, err
+			}
+			op.Input, op.Opts = src, ex.Options
+			lp.probe = op
+			break
+		}
+		// A naive plan over a vector column has no per-pair model call to
+		// make: it runs as the prefetched tuple-at-a-time NLJ (the naive
+		// strategy is never quantizable, so its precision stays exact).
 		if right.embeddings == nil {
 			return nil, fmt.Errorf("plan: strategy %v requires embedded inputs (missing Embed node?)", j.Strategy)
 		}
 		if j.Spec.Kind == TopKJoin {
-			lp.topk = &exec.TopKProbe{
+			op := &exec.TopKProbe{
 				Input:    src,
 				K:        j.Spec.K,
 				Residual: j.Spec.Threshold,
 				Opts:     ex.Options,
 			}
-			lp.topk.Build, lp.topk.BuildRows = right.embeddings, right.rows
-			lp.top = lp.topk
-		} else {
-			lp.threshold = &exec.ThresholdProbe{
-				Input:          src,
-				Threshold:      j.Spec.Threshold,
-				Tensor:         j.Strategy == cost.StrategyTensor,
-				Precision:      j.Precision,
-				PrecisionSlack: j.PrecisionSlack,
-				Opts:           ex.Options,
-			}
-			lp.threshold.Build, lp.threshold.BuildRows = right.embeddings, right.rows
-			lp.top = lp.threshold
+			op.Build, op.BuildRows = right.embeddings, right.rows
+			lp.probe = op
+			break
 		}
+		lp.threshold = &exec.ThresholdProbe{
+			Input:          src,
+			Threshold:      j.Spec.Threshold,
+			Tensor:         j.Strategy == cost.StrategyTensor,
+			Precision:      j.Precision,
+			PrecisionSlack: j.PrecisionSlack,
+			Opts:           ex.Options,
+		}
+		lp.threshold.Build, lp.threshold.BuildRows = right.embeddings, right.rows
+		lp.probe = lp.threshold
 	default:
-		return nil, fmt.Errorf("plan: unsupported streaming strategy %v", j.Strategy)
+		return nil, fmt.Errorf("plan: unsupported strategy %v", j.Strategy)
 	}
+	lp.top = lp.probe
 	return lp, nil
+}
+
+// lowerNaiveProbe prepares the per-pair probe over the probe chain pc:
+// the build side's texts are gathered once; the probe side's are read per
+// block.
+func lowerNaiveProbe(j *EJoin, pc *probeChain, right *evaluatedInput) (*exec.NaiveProbe, error) {
+	bc, err := walkProbeChain(j.Right)
+	if err != nil {
+		return nil, err
+	}
+	mdl, probeCol := pc.textSource()
+	buildModel, buildCol := bc.textSource()
+	if mdl == nil {
+		mdl = buildModel
+	}
+	if mdl == nil {
+		return nil, fmt.Errorf("plan: naive join has no model")
+	}
+	col, err := right.ref.Table.Strings(buildCol)
+	if err != nil {
+		return nil, err
+	}
+	texts := make([]string, len(right.rows))
+	for i, r := range right.rows {
+		texts[i] = col[r]
+	}
+	op := &exec.NaiveProbe{
+		Table:      pc.scanNode.Ref.Table,
+		Column:     probeCol,
+		Model:      mdl,
+		BuildTexts: texts,
+		Threshold:  j.Spec.Threshold,
+	}
+	op.BuildRows = right.rows
+	return op, nil
 }
 
 // lowerIndexProbe prepares the index probe: an attached index is used
@@ -385,19 +456,6 @@ func (ex *Executor) lowerIndexProbe(j *EJoin, right *evaluatedInput) (*exec.Inde
 	return &exec.IndexProbe{Index: idx, Cond: ex.indexCond(j), Opts: opts}, nil
 }
 
-// coreStats returns the probe operator's aggregated kernel accounting.
-func (lp *loweredPipeline) coreStats() core.Stats {
-	switch {
-	case lp.threshold != nil:
-		return lp.threshold.CoreStats()
-	case lp.topk != nil:
-		return lp.topk.CoreStats()
-	case lp.index != nil:
-		return lp.index.CoreStats()
-	}
-	return core.Stats{}
-}
-
 // opStats snapshots every operator's statistics, source to sink.
 func (lp *loweredPipeline) opStats() []exec.OpStats {
 	ops := []exec.Operator{lp.scan}
@@ -407,14 +465,7 @@ func (lp *loweredPipeline) opStats() []exec.OpStats {
 	if lp.embed != nil {
 		ops = append(ops, lp.embed)
 	}
-	switch {
-	case lp.threshold != nil:
-		ops = append(ops, lp.threshold)
-	case lp.topk != nil:
-		ops = append(ops, lp.topk)
-	case lp.index != nil:
-		ops = append(ops, lp.index)
-	}
+	ops = append(ops, lp.probe)
 	if lp.limit != nil {
 		ops = append(ops, lp.limit)
 	}
@@ -426,10 +477,10 @@ func (lp *loweredPipeline) opStats() []exec.OpStats {
 }
 
 // emitStreamSpans adds the aggregated per-phase spans after the stream
-// drains, preserving the materializing path's span vocabulary ("embed",
-// "join:<strategy>"/"index.probe", "rerank") for the slow-query log and
-// trace consumers: one span per phase with summed durations, not one per
-// block, so traces stay bounded regardless of stream length.
+// drains, in the span vocabulary ("embed", "join:<strategy>"/
+// "index.probe", "rerank") the slow-query log and trace consumers read:
+// one span per phase with summed durations, not one per block, so traces
+// stay bounded regardless of stream length.
 func (ex *Executor) emitStreamSpans(ctx context.Context, j *EJoin, lp *loweredPipeline, res *ExecResult) {
 	tr := obs.FromContext(ctx)
 	if tr == nil {
@@ -447,7 +498,7 @@ func (ex *Executor) emitStreamSpans(ctx context.Context, j *EJoin, lp *loweredPi
 	if j.Strategy != cost.StrategyIndex {
 		name = "join:" + strategyLabel(j.Strategy)
 	}
-	probe := lp.probeStats()
+	probe := lp.probe.Stats()
 	jt := res.Stats.JoinTime
 	tr.AddSpan(name, tr.Since()-jt, jt, map[string]int64{
 		"comparisons": res.Stats.Comparisons,
@@ -459,26 +510,13 @@ func (ex *Executor) emitStreamSpans(ctx context.Context, j *EJoin, lp *loweredPi
 	}
 }
 
-// probeStats returns the probe operator's OpStats.
-func (lp *loweredPipeline) probeStats() exec.OpStats {
-	switch {
-	case lp.threshold != nil:
-		return lp.threshold.Stats()
-	case lp.topk != nil:
-		return lp.topk.Stats()
-	case lp.index != nil:
-		return lp.index.Stats()
-	}
-	return exec.OpStats{}
-}
-
-// analysis builds the EXPLAIN ANALYZE tree for a streamed execution,
-// mirroring the materializing tree's node names with per-operator
-// observations (a LIMIT-truncated stream reports the rows each operator
-// actually saw, which is the censoring EXPLAIN should surface).
+// analysis builds the EXPLAIN ANALYZE tree, named after the plan nodes,
+// with per-operator observations (a LIMIT-truncated stream reports the
+// rows each operator actually saw, which is the censoring EXPLAIN should
+// surface).
 func (lp *loweredPipeline) analysis(j *EJoin, right *evaluatedInput, res *ExecResult) *obs.NodeStats {
 	scanSt := lp.scan.Stats()
-	probe := lp.probeStats()
+	probe := lp.probe.Stats()
 	left := &obs.NodeStats{
 		Name:    lp.scanNode.Explain(),
 		EstRows: int64(lp.scan.Table.NumRows()),
@@ -527,7 +565,6 @@ func (lp *loweredPipeline) analysis(j *EJoin, right *evaluatedInput, res *ExecRe
 	detail := map[string]int64{
 		"comparisons": res.Stats.Comparisons,
 		"batches":     probe.Batches,
-		"streamed":    1,
 	}
 	if res.Stats.Blocks > 0 {
 		detail["blocks"] = int64(res.Stats.Blocks)

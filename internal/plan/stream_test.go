@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ejoin/internal/hnsw"
 	"ejoin/internal/model"
 	"ejoin/internal/obs"
+	"ejoin/internal/oracle"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/vec"
@@ -68,83 +70,129 @@ func streamQuery(t *testing.T, spec JoinSpec) Query {
 	}
 }
 
-// assertIdentical requires the two executions to agree exactly: match
-// lists (ids, similarities, and order), surviving row selections, and
-// strategy. This is the streaming engine's correctness contract — not
-// set-equality, byte-equality, so LIMIT's first-N is well-defined.
-func assertIdentical(t *testing.T, mat, st *ExecResult) {
+// oracleOf evaluates q with the brute-force oracle.
+func oracleOf(t *testing.T, q Query) *oracle.Result {
 	t.Helper()
-	if mat.Strategy != st.Strategy {
-		t.Fatalf("strategy: materializing %v, streaming %v", mat.Strategy, st.Strategy)
-	}
-	if len(mat.Matches) != len(st.Matches) {
-		t.Fatalf("match count: materializing %d, streaming %d", len(mat.Matches), len(st.Matches))
-	}
-	for i := range mat.Matches {
-		if mat.Matches[i] != st.Matches[i] {
-			t.Fatalf("match %d: materializing %+v, streaming %+v", i, mat.Matches[i], st.Matches[i])
+	side := func(r TableRef) oracle.Side {
+		return oracle.Side{
+			Table: r.Table, TextColumn: r.TextColumn, VectorColumn: r.VectorColumn,
+			Visible: r.Visible, Preds: r.Predicates,
 		}
 	}
-	assertSameSelection(t, "LeftRows", mat.LeftRows, st.LeftRows)
-	assertSameSelection(t, "RightRows", mat.RightRows, st.RightRows)
+	j := oracle.Join{Left: side(q.Left), Right: side(q.Right), Model: q.Model, Threshold: float64(q.Join.Threshold)}
+	if q.Join.Kind == TopKJoin {
+		j.K = q.Join.K
+	}
+	res, err := oracle.Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-func assertSameSelection(t *testing.T, name string, a, b relational.Selection) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: materializing %d rows, streaming %d rows", name, len(a), len(b))
+// executedPrecision is the precision a finished plan's scan ran at.
+func executedPrecision(j *EJoin) quant.Precision {
+	if j.Precision == quant.PrecisionAuto {
+		return quant.PrecisionF32
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s[%d]: materializing %d, streaming %d", name, i, a[i], b[i])
+	return j.Precision
+}
+
+// assertOracle checks one execution against the oracle: pair ids within
+// the precision's bound, similarities within it, the surviving row
+// selections exactly, and — for scan strategies — one comparison per
+// surviving pair.
+func assertOracle(t *testing.T, want *oracle.Result, res *ExecResult, j *EJoin) {
+	t.Helper()
+	if err := want.Check(res.Matches, executedPrecision(j)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSelection(t, "LeftRows", want.LeftRows, res.LeftRows)
+	assertSameSelection(t, "RightRows", want.RightRows, res.RightRows)
+	if res.Strategy != cost.StrategyIndex && res.Stats.Comparisons != want.Pairs() {
+		t.Errorf("comparisons = %d, want |L'|·|R'| = %d", res.Stats.Comparisons, want.Pairs())
+	}
+}
+
+func assertSameSelection(t *testing.T, name string, want, got relational.Selection) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: want %d rows, got %d rows", name, len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s[%d]: want %d, got %d", name, i, want[i], got[i])
 		}
 	}
 }
 
-// diffShape optimizes q under opt, runs it through both executors, and
-// asserts identical results and identical cardinality accounting.
-func diffShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor)) {
+// assertIdentical requires two executions of one plan to agree exactly:
+// match lists (ids, similarities, and order), surviving row selections,
+// strategy, model calls, and comparisons.
+func assertIdentical(t *testing.T, label string, want, got *ExecResult) {
 	t.Helper()
-	run := func(streaming bool) (*ExecResult, *EJoin) {
-		naive, err := NewNaivePlan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimized, err := opt.Optimize(naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Fresh executor per run: no shared store, so model-call counts are
-		// directly comparable.
-		ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, IndexEf: 16, BlockRows: 16}
-		if tune != nil {
-			tune(ex)
-		}
-		var res *ExecResult
-		if streaming {
-			res, err = ex.ExecuteStreaming(context.Background(), optimized, 0)
-		} else {
-			res, err = ex.Execute(context.Background(), optimized)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, optimized
+	if want.Strategy != got.Strategy {
+		t.Fatalf("%s: strategy %v, want %v", label, got.Strategy, want.Strategy)
 	}
-	mat, _ := run(false)
-	st, _ := run(true)
-	if len(mat.Matches) == 0 {
+	if len(want.Matches) != len(got.Matches) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got.Matches), len(want.Matches))
+	}
+	for i := range want.Matches {
+		if want.Matches[i] != got.Matches[i] {
+			t.Fatalf("%s: match %d is %+v, want %+v", label, i, got.Matches[i], want.Matches[i])
+		}
+	}
+	assertSameSelection(t, label+" LeftRows", want.LeftRows, got.LeftRows)
+	assertSameSelection(t, label+" RightRows", want.RightRows, got.RightRows)
+	if want.Stats.ModelCalls != got.Stats.ModelCalls {
+		t.Errorf("%s: model calls %d, want %d", label, got.Stats.ModelCalls, want.Stats.ModelCalls)
+	}
+	if want.Stats.Comparisons != got.Stats.Comparisons {
+		t.Errorf("%s: comparisons %d, want %d", label, got.Stats.Comparisons, want.Stats.Comparisons)
+	}
+}
+
+// runShape optimizes q under opt and executes it with the given block
+// size on a fresh executor (no shared store, so model-call counts are
+// comparable across runs).
+func runShape(t *testing.T, q Query, opt *Optimizer, blockRows int, tune func(*Executor)) (*ExecResult, *EJoin) {
+	t.Helper()
+	naive, err := NewNaivePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimized, err := opt.Optimize(naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, IndexEf: 16, BlockRows: blockRows}
+	if tune != nil {
+		tune(ex)
+	}
+	res, err := ex.ExecuteStreaming(context.Background(), optimized, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, optimized
+}
+
+// checkShape is the differential contract every query shape is held to:
+// the result agrees with the brute-force oracle, and it is byte-identical
+// at block sizes 1, 7, 16, and one block holding the whole probe side
+// (the whole-input computation).
+func checkShape(t *testing.T, q Query, opt *Optimizer, tune func(*Executor)) *ExecResult {
+	t.Helper()
+	ref, j := runShape(t, q, opt, 16, tune)
+	if len(ref.Matches) == 0 {
 		t.Fatal("shape produced no matches; differential assertion is vacuous")
 	}
-	assertIdentical(t, mat, st)
-	if mat.Stats.ModelCalls != st.Stats.ModelCalls {
-		t.Errorf("model calls: materializing %d, streaming %d", mat.Stats.ModelCalls, st.Stats.ModelCalls)
+	assertOracle(t, oracleOf(t, q), ref, j)
+	whole := max(q.Left.Table.NumRows(), q.Right.Table.NumRows())
+	for _, rows := range []int{1, 7, whole} {
+		got, _ := runShape(t, q, opt, rows, tune)
+		assertIdentical(t, fmt.Sprintf("BlockRows=%d", rows), ref, got)
 	}
-	if mat.Stats.Comparisons != st.Stats.Comparisons && st.Strategy != cost.StrategyIndex {
-		// Index probes may take different graph walks per block boundary;
-		// scan strategies must compare exactly the same pairs.
-		t.Errorf("comparisons: materializing %d, streaming %d", mat.Stats.Comparisons, st.Stats.Comparisons)
-	}
+	return ref
 }
 
 func forced(s cost.Strategy) *Optimizer {
@@ -155,67 +203,83 @@ func forced(s cost.Strategy) *Optimizer {
 
 func TestStreamingDifferentialThresholdNLJ(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	diffShape(t, q, forced(cost.StrategyNLJ), nil)
+	checkShape(t, q, forced(cost.StrategyNLJ), nil)
 }
 
 func TestStreamingDifferentialThresholdTensor(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	// Small GEMM budget: multiple mini-batches per probe block.
-	diffShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BudgetBytes = 1 << 12 })
+	checkShape(t, q, forced(cost.StrategyTensor), func(ex *Executor) { ex.Options.BudgetBytes = 1 << 12 })
 }
 
 func TestStreamingDifferentialTopK(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 3, Threshold: -2})
-	diffShape(t, q, forced(cost.StrategyNLJ), nil)
+	checkShape(t, q, forced(cost.StrategyNLJ), nil)
 }
 
 func TestStreamingDifferentialTopKResidual(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 3, Threshold: 0.9})
-	diffShape(t, q, forced(cost.StrategyTensor), nil)
+	checkShape(t, q, forced(cost.StrategyTensor), nil)
 }
 
 func TestStreamingDifferentialFiltered(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	q.Left.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(200)}}
 	q.Right.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(250)}}
-	diffShape(t, q, NewOptimizer(), nil)
+	checkShape(t, q, NewOptimizer(), nil)
 }
 
 func TestStreamingDifferentialFilterAboveEmbed(t *testing.T) {
-	// Pushdown disabled: the filter stays above E_µ, so streaming must
-	// embed every scanned row (through a RowFilter) to report the same
-	// model work the un-pushed-down materializing plan pays.
+	// Pushdown disabled: the filter stays above E_µ, so execution must
+	// embed every scanned row (through a RowFilter) — the model work the
+	// un-pushed-down plan was costed with.
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	q.Left.Predicates = []relational.Pred{{Column: "n", Op: relational.LE, Value: int64(150)}}
 	o := forced(cost.StrategyNLJ)
 	o.DisablePushdown = true
-	diffShape(t, q, o, nil)
+	res := checkShape(t, q, o, nil)
+	if want := int64(q.Left.Table.NumRows() + q.Right.Table.NumRows()); res.Stats.ModelCalls != want {
+		t.Errorf("model calls = %d, want every scanned row embedded (%d)", res.Stats.ModelCalls, want)
+	}
 }
 
+// TestStreamingDifferentialNaiveFallback covers both lowerings of the
+// naive strategy: over two text columns it runs the per-pair probe,
+// paying two model calls per compared pair; with a vector column on one
+// side there is no per-pair model call to make, and it falls back to the
+// prefetched tuple-at-a-time NLJ.
 func TestStreamingDifferentialNaiveFallback(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
-	naive, err := NewNaivePlan(q)
+	res := checkShape(t, q, forced(cost.StrategyNaiveNLJ), nil)
+	if want := 2 * res.Stats.Comparisons; res.Stats.ModelCalls != want {
+		t.Errorf("naive model calls = %d, want 2 per compared pair (%d)", res.Stats.ModelCalls, want)
+	}
+	if name := res.Ops[len(res.Ops)-1].Name; name != "probe:naive-nlj" {
+		t.Errorf("probe operator %q, want probe:naive-nlj", name)
+	}
+
+	// Precompute the right side's vectors: the naive plan now embeds only
+	// the text side, once per row.
+	rw, _ := q.Right.Table.Strings("term")
+	rv, err := core.Embed(context.Background(), q.Model, rw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := forced(cost.StrategyNaiveNLJ)
-	optimized, err := o.Optimize(naive)
+	col, err := relational.NewVectorColumn(rowsOf(rv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, BlockRows: 16}
-	st, err := ex.ExecuteStreaming(context.Background(), optimized, 0)
-	if err != nil {
+	if q.Right.Table, err = q.Right.Table.WithColumn("emb", col); err != nil {
 		t.Fatal(err)
 	}
-	if st.Streamed {
-		t.Error("naive strategy must fall back to the materializing executor")
+	q.Right.TextColumn, q.Right.VectorColumn = "", "emb"
+	res = checkShape(t, q, forced(cost.StrategyNaiveNLJ), nil)
+	if want := int64(q.Left.Table.NumRows()); res.Stats.ModelCalls != want {
+		t.Errorf("vector-column naive model calls = %d, want one per probe row (%d)", res.Stats.ModelCalls, want)
 	}
-	mat, err := ex.Execute(context.Background(), optimized)
-	if err != nil {
-		t.Fatal(err)
+	if name := res.Ops[len(res.Ops)-1].Name; name != "probe:nlj" {
+		t.Errorf("probe operator %q, want probe:nlj", name)
 	}
-	assertIdentical(t, mat, st)
 }
 
 func TestStreamingDifferentialQuantized(t *testing.T) {
@@ -223,11 +287,11 @@ func TestStreamingDifferentialQuantized(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.8})
 			o := forced(cost.StrategyNLJ)
-			// Forced precision, zero slack: no demotion guard on either
-			// path, and per-row scales make block-wise int8/f16 encoding
-			// identical to whole-matrix encoding.
+			// Forced precision, zero slack: no demotion guard, and per-row
+			// scales make block-wise int8/f16 encoding identical to
+			// whole-matrix encoding.
 			o.Precision = p
-			diffShape(t, q, o, nil)
+			checkShape(t, q, o, nil)
 		})
 	}
 }
@@ -250,19 +314,19 @@ func TestStreamingDifferentialIndex(t *testing.T) {
 
 	o := forced(cost.StrategyIndex)
 	o.DisableReorder = true
-	diffShape(t, q, o, nil)
+	checkShape(t, q, o, nil)
 }
 
 func TestStreamingDifferentialIndexBuiltOnDemand(t *testing.T) {
 	q := streamQuery(t, JoinSpec{Kind: TopKJoin, K: 1, Threshold: -2})
 	o := forced(cost.StrategyIndex)
 	o.DisableReorder = true
-	diffShape(t, q, o, nil)
+	checkShape(t, q, o, nil)
 }
 
 func TestStreamingDifferentialMVCCSnapshot(t *testing.T) {
-	// Both executors over the same pinned visibility sets (every third
-	// probe row tombstoned, build side truncated past row 30).
+	// Pinned visibility sets: every third probe row tombstoned, build side
+	// truncated past row 30.
 	q := streamQuery(t, JoinSpec{Kind: ThresholdJoin, Threshold: 0.85})
 	var vis relational.Selection
 	for r := 0; r < q.Left.Table.NumRows(); r++ {
@@ -272,7 +336,7 @@ func TestStreamingDifferentialMVCCSnapshot(t *testing.T) {
 	}
 	q.Left.Visible = vis
 	q.Right.Visible = relational.All(q.Right.Table.NumRows())[:30]
-	diffShape(t, q, forced(cost.StrategyNLJ), nil)
+	checkShape(t, q, forced(cost.StrategyNLJ), nil)
 }
 
 func TestStreamingLimitFirstN(t *testing.T) {
@@ -286,13 +350,17 @@ func TestStreamingLimitFirstN(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &Executor{Options: core.Options{Kernel: vec.DefaultKernel(), Threads: 2}, BlockRows: 16}
-	mat, err := ex.Execute(context.Background(), optimized)
+	full, err := ex.ExecuteStreaming(context.Background(), optimized, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertOracle(t, oracleOf(t, q), full, optimized)
+	if full.Truncated {
+		t.Error("an unlimited run must not be marked truncated")
+	}
 	const limit = 7
-	if len(mat.Matches) <= limit {
-		t.Fatalf("need more than %d total matches, have %d", limit, len(mat.Matches))
+	if len(full.Matches) <= limit {
+		t.Fatalf("need more than %d total matches, have %d", limit, len(full.Matches))
 	}
 	st, err := ex.ExecuteStreaming(context.Background(), optimized, limit)
 	if err != nil {
@@ -305,20 +373,20 @@ func TestStreamingLimitFirstN(t *testing.T) {
 		t.Fatalf("streamed %d matches, want %d", len(st.Matches), limit)
 	}
 	for i := 0; i < limit; i++ {
-		if mat.Matches[i] != st.Matches[i] {
-			t.Fatalf("match %d: materializing %+v, streaming %+v", i, mat.Matches[i], st.Matches[i])
+		if full.Matches[i] != st.Matches[i] {
+			t.Fatalf("match %d: full run %+v, limited %+v", i, full.Matches[i], st.Matches[i])
 		}
 	}
 	// The short-circuit must be real: a truncated stream embeds fewer
-	// rows than the full materializing run.
-	if st.Stats.ModelCalls >= mat.Stats.ModelCalls {
-		t.Errorf("limit did not short-circuit: streaming %d model calls, materializing %d",
-			st.Stats.ModelCalls, mat.Stats.ModelCalls)
+	// rows than the full run.
+	if st.Stats.ModelCalls >= full.Stats.ModelCalls {
+		t.Errorf("limit did not short-circuit: limited %d model calls, full %d",
+			st.Stats.ModelCalls, full.Stats.ModelCalls)
 	}
 	// The post-predicate selections are computed at Open and stay
 	// complete even though the stream stopped early.
-	assertSameSelection(t, "LeftRows", mat.LeftRows, st.LeftRows)
-	assertSameSelection(t, "RightRows", mat.RightRows, st.RightRows)
+	assertSameSelection(t, "LeftRows", full.LeftRows, st.LeftRows)
+	assertSameSelection(t, "RightRows", full.RightRows, st.RightRows)
 }
 
 // cancelAfterModel cancels a context after n embeddings, so the stream is

@@ -262,7 +262,7 @@ func (e *Engine) runAudit(ctx context.Context, job auditJob) {
 	// Take an execution slot (zero byte weight: the brute-force scan
 	// materializes nothing) so audits never add to peak query concurrency.
 	sp := tr.StartSpan("admit")
-	release, _, err := e.admit(ctx, 0)
+	release, _, err := e.admission.Admit(ctx, 0)
 	sp.End()
 	if err != nil {
 		e.aud.dropped.Add(1)

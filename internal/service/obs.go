@@ -105,9 +105,15 @@ func (e *Engine) observeQuery(res *QueryResult) {
 
 // WriteMetrics renders the engine's statistics in Prometheus text
 // exposition format (version 0.0.4). One Stats() snapshot feeds every
-// scalar family, and the histograms render from their own atomics;
-// families and label values are emitted in sorted, deterministic order.
+// scalar family; families and label values are emitted in sorted,
+// deterministic order.
 func (e *Engine) WriteMetrics(w io.Writer) error {
+	// Query bumps counters.queries before it observes latency, so the
+	// histograms are copied before the Stats() snapshot (the order Stats
+	// itself reads them in): every latency sample a scrape shows then
+	// belongs to a query its queries_total already counts.
+	latency, byStrategy := e.obs.latency.Clone(), e.obs.byStrategy.Clone()
+	byPrecision, byOperator := e.obs.byPrecision.Clone(), e.obs.byOperator.Clone()
 	st := e.Stats()
 	mw := obs.NewMetricsWriter(w)
 
@@ -154,11 +160,9 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	}
 
 	ee := st.Exec
-	mw.Counter("ejoin_exec_streamed_queries_total", "Queries served by the streaming block-at-a-time executor.", float64(ee.StreamedQueries))
-	mw.Counter("ejoin_exec_materialized_queries_total", "Queries served by the materializing executor (including naive fallbacks).", float64(ee.MaterializedQueries))
-	mw.Counter("ejoin_exec_truncated_queries_total", "Streamed queries a LIMIT short-circuited.", float64(ee.TruncatedQueries))
-	mw.Counter("ejoin_exec_batches_total", "Batches emitted across all streaming pipeline operators.", float64(ee.Batches))
-	mw.Counter("ejoin_exec_rows_early_out_total", "Rows and matches skipped by streaming early termination.", float64(ee.EarlyOutRows))
+	mw.Counter("ejoin_exec_truncated_queries_total", "Queries a LIMIT short-circuited.", float64(ee.TruncatedQueries))
+	mw.Counter("ejoin_exec_batches_total", "Batches emitted across all pipeline operators.", float64(ee.Batches))
+	mw.Counter("ejoin_exec_rows_early_out_total", "Rows and matches skipped by early termination.", float64(ee.EarlyOutRows))
 
 	ob := st.Obs
 	mw.Counter("ejoin_traced_queries_total", "Queries that carried a trace.", float64(ob.TracedQueries))
@@ -171,13 +175,13 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	mw.Counter("ejoin_feedback_regret_total", "Queries whose post-hoc observed costs favored a different strategy.", float64(fb.Regret))
 
 	mw.Histogram("ejoin_query_duration_seconds",
-		"End-to-end latency of served queries.", &e.obs.latency)
+		"End-to-end latency of served queries.", latency)
 	mw.HistogramVec("ejoin_query_strategy_duration_seconds",
-		"Query latency split by physical join strategy.", "strategy", &e.obs.byStrategy)
+		"Query latency split by physical join strategy.", "strategy", byStrategy)
 	mw.HistogramVec("ejoin_query_precision_duration_seconds",
-		"Query latency split by effective scan precision.", "precision", &e.obs.byPrecision)
+		"Query latency split by effective scan precision.", "precision", byPrecision)
 	mw.HistogramVec("ejoin_exec_operator_duration_seconds",
-		"Cumulative per-query self time of each streaming pipeline operator.", "operator", &e.obs.byOperator)
+		"Cumulative per-query self time of each pipeline operator.", "operator", byOperator)
 
 	writeFloatHist(mw, "ejoin_feedback_audit_recall",
 		"Observed recall@k from sampled index-path audits.", e.feedback.RecallHist)

@@ -7,10 +7,58 @@ import (
 	"sync"
 )
 
-// byteSemaphore is a context-aware weighted semaphore: the admission
+// Admission is the admission controller: execution slots bound CPU
+// oversubscription, and a ByteSemaphore over estimated footprints bounds
+// memory pressure. The engine admits each query through one; the shard
+// router admits a whole fan-out (the sum of its per-pair footprints) as
+// one unit through its own, so N scatter streams cannot overcommit memory
+// the way N independently admitted queries could.
+type Admission struct {
+	slots chan struct{}
+	bytes *ByteSemaphore
+}
+
+// NewAdmission returns a controller with maxConcurrent slots and a
+// budget of capacity bytes.
+func NewAdmission(maxConcurrent int, capacity int64) *Admission {
+	return &Admission{slots: make(chan struct{}, maxConcurrent), bytes: NewByteSemaphore(capacity)}
+}
+
+// Admit acquires one execution slot and weight bytes of budget, in that
+// order, reporting whether either had to wait. The returned release
+// undoes both.
+func (a *Admission) Admit(ctx context.Context, weight int64) (release func(), waited bool, err error) {
+	select {
+	case a.slots <- struct{}{}:
+	default:
+		waited = true
+		select {
+		case a.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, true, fmt.Errorf("service: admission wait aborted: %w", ctx.Err())
+		}
+	}
+	bytesWaited, err := a.bytes.Acquire(ctx, weight)
+	if err != nil {
+		<-a.slots
+		return nil, waited || bytesWaited, err
+	}
+	return func() {
+		a.bytes.Release(weight)
+		<-a.slots
+	}, waited || bytesWaited, nil
+}
+
+// InUse is the currently admitted weight.
+func (a *Admission) InUse() int64 { return a.bytes.InUse() }
+
+// Waiting is the number of queries queued for bytes.
+func (a *Admission) Waiting() int { return a.bytes.Waiting() }
+
+// ByteSemaphore is a context-aware weighted semaphore: the admission
 // controller's ledger of estimated intermediate bytes. Waiters are served
 // FIFO so a stream of small queries cannot starve a large one.
-type byteSemaphore struct {
+type ByteSemaphore struct {
 	capacity int64
 
 	mu      sync.Mutex
@@ -23,14 +71,15 @@ type byteWaiter struct {
 	ready chan struct{} // closed when the weight is granted
 }
 
-func newByteSemaphore(capacity int64) *byteSemaphore {
-	return &byteSemaphore{capacity: capacity}
+// NewByteSemaphore returns a ledger of capacity bytes.
+func NewByteSemaphore(capacity int64) *ByteSemaphore {
+	return &ByteSemaphore{capacity: capacity}
 }
 
 // Acquire blocks until n bytes of budget are available or ctx is done,
 // reporting whether it had to wait. n larger than the whole capacity is
 // an error (the caller clamps).
-func (s *byteSemaphore) Acquire(ctx context.Context, n int64) (waited bool, err error) {
+func (s *ByteSemaphore) Acquire(ctx context.Context, n int64) (waited bool, err error) {
 	if n < 0 {
 		n = 0
 	}
@@ -71,7 +120,7 @@ func (s *byteSemaphore) Acquire(ctx context.Context, n int64) (waited bool, err 
 }
 
 // Release returns n bytes of budget and wakes admissible waiters.
-func (s *byteSemaphore) Release(n int64) {
+func (s *ByteSemaphore) Release(n int64) {
 	if n < 0 {
 		n = 0
 	}
@@ -85,21 +134,21 @@ func (s *byteSemaphore) Release(n int64) {
 }
 
 // InUse is the currently admitted weight.
-func (s *byteSemaphore) InUse() int64 {
+func (s *ByteSemaphore) InUse() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cur
 }
 
 // Waiting is the number of queued waiters.
-func (s *byteSemaphore) Waiting() int {
+func (s *ByteSemaphore) Waiting() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiters.Len()
 }
 
 // notifyLocked grants budget to waiters in FIFO order while it fits.
-func (s *byteSemaphore) notifyLocked() {
+func (s *ByteSemaphore) notifyLocked() {
 	for {
 		front := s.waiters.Front()
 		if front == nil {

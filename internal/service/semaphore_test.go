@@ -8,7 +8,7 @@ import (
 )
 
 func TestByteSemaphoreFastPath(t *testing.T) {
-	s := newByteSemaphore(100)
+	s := NewByteSemaphore(100)
 	waited, err := s.Acquire(context.Background(), 60)
 	if err != nil || waited {
 		t.Fatalf("fast path: waited=%v err=%v", waited, err)
@@ -23,14 +23,14 @@ func TestByteSemaphoreFastPath(t *testing.T) {
 }
 
 func TestByteSemaphoreOversized(t *testing.T) {
-	s := newByteSemaphore(10)
+	s := NewByteSemaphore(10)
 	if _, err := s.Acquire(context.Background(), 11); err == nil {
 		t.Fatal("weight above capacity accepted")
 	}
 }
 
 func TestByteSemaphoreBlocksAndWakes(t *testing.T) {
-	s := newByteSemaphore(100)
+	s := NewByteSemaphore(100)
 	if _, err := s.Acquire(context.Background(), 80); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestByteSemaphoreBlocksAndWakes(t *testing.T) {
 }
 
 func TestByteSemaphoreFIFO(t *testing.T) {
-	s := newByteSemaphore(10)
+	s := NewByteSemaphore(10)
 	if _, err := s.Acquire(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestByteSemaphoreFIFO(t *testing.T) {
 // FIFO-head waiter must immediately admit smaller requests queued behind
 // it, not leave them parked until the next Release.
 func TestByteSemaphoreCancelUnblocksSmallerWaiter(t *testing.T) {
-	s := newByteSemaphore(10)
+	s := NewByteSemaphore(10)
 	if _, err := s.Acquire(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestByteSemaphoreCancelUnblocksSmallerWaiter(t *testing.T) {
 }
 
 func TestByteSemaphoreCancelWhileWaiting(t *testing.T) {
-	s := newByteSemaphore(10)
+	s := NewByteSemaphore(10)
 	if _, err := s.Acquire(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}

@@ -115,14 +115,9 @@ type Config struct {
 	// triggers a background index re-cluster (default 0.3; negative
 	// disables re-clustering).
 	ReclusterFraction float64
-	// MaterializeExec forces the legacy materializing executor (both join
-	// inputs fully resident). Off by default — queries stream block-at-a-
-	// time through internal/exec, with admission charged build-side +
-	// O(block) bytes. The flag exists for differential testing and as an
-	// escape hatch, not as a recommended mode.
-	MaterializeExec bool
-	// ExecBlockRows is the streaming executor's probe-side block size
-	// (0 = exec.DefaultBlockSize).
+	// ExecBlockRows is the executor's probe-side block size
+	// (0 = exec.DefaultBlockSize). Queries stream block-at-a-time through
+	// internal/exec, with admission charged build-side + O(block) bytes.
 	ExecBlockRows int
 	// DisableTracing turns off per-query traces (and with them the
 	// slow-query log); an explicit explain request still traces its own
@@ -176,15 +171,14 @@ type TableInfo struct {
 // Engine is a long-lived, concurrency-safe query engine: one per process,
 // shared by every session/request handler.
 type Engine struct {
-	cfg     Config
-	model   model.Model
-	store   *embstore.Store
-	exec    *plan.Executor
-	opt     *plan.Optimizer
-	catalog *sqlish.Catalog
-	plans   *planCache
-	slots   chan struct{}
-	bytes   *byteSemaphore
+	cfg       Config
+	model     model.Model
+	store     *embstore.Store
+	exec      *plan.Executor
+	opt       *plan.Optimizer
+	catalog   *sqlish.Catalog
+	plans     *planCache
+	admission *Admission
 
 	// durable is non-nil for engines built with Open over a data
 	// directory; nil engines are memory-only.
@@ -295,8 +289,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		opt:        opt,
 		catalog:    sqlish.NewCatalog(),
 		plans:      newPlanCache(cfg.PlanCacheSize),
-		slots:      make(chan struct{}, cfg.MaxConcurrent),
-		bytes:      newByteSemaphore(cfg.AdmissionBytes),
+		admission:  NewAdmission(cfg.MaxConcurrent, cfg.AdmissionBytes),
 		feedback:   feedback.NewRegistry(cfg.RecallSLO),
 		calibrated: calibrated,
 		start:      time.Now(),

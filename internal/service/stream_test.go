@@ -8,103 +8,159 @@ import (
 	"sync"
 	"testing"
 
+	"ejoin/internal/model"
+	"ejoin/internal/oracle"
+	"ejoin/internal/quant"
 	"ejoin/internal/workload"
 )
 
-// twinEngines builds a streaming engine and a materializing engine over
-// identical tables and models, so service-level behavior (results,
-// feedback, stats) can be compared across executors.
-func twinEngines(t *testing.T, base Config) (streaming, materializing *Engine) {
+// blockRowsGrid is the block-invariance grid: one-row blocks, an odd
+// size, the small size the other tests use, and one block holding a whole
+// 120-row test table (the whole-input computation).
+var blockRowsGrid = []int{1, 7, 16, 120}
+
+// oracleFor evaluates a request over the test engine's "left"/"right"
+// tables with the brute-force oracle (the same deterministic embedder,
+// called directly).
+func oracleFor(t *testing.T, e *Engine, k int, threshold float64) *oracle.Result {
 	t.Helper()
-	mcfg := base
-	mcfg.MaterializeExec = true
-	streaming, _ = newTestEngine(t, base)
-	materializing, _ = newTestEngine(t, mcfg)
-	return streaming, materializing
+	m, err := model.NewHashEmbedder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := func(name string) oracle.Side {
+		tbl, ok := e.catalog.Get(name)
+		if !ok {
+			t.Fatalf("no table %q", name)
+		}
+		return oracle.Side{Table: tbl, TextColumn: "text"}
+	}
+	res, err := oracle.Run(oracle.Join{Left: side("left"), Right: side("right"), Model: m, K: k, Threshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-// TestServiceStreamingDifferential runs every request shape through a
-// streaming and a materializing engine and requires identical responses
-// AND identical cardinality-feedback state: the streaming engine must be
-// invisible to clients and to the planner's closed loop.
+// TestServiceStreamingDifferential runs every request shape through
+// twin engines that differ only in block size and requires byte-identical
+// responses AND identical cardinality-feedback state, with every full
+// result checked against the brute-force oracle and every LIMIT result
+// equal to the full result's prefix.
 func TestServiceStreamingDifferential(t *testing.T) {
-	stream, mat := twinEngines(t, Config{ExecBlockRows: 16})
 	thr := 0.8
-	requests := []QueryRequest{
-		{SQL: testQuery},
-		{SQL: testQuery, Limit: 3},
-		{Join: &JoinRequest{
-			LeftTable: "left", LeftColumn: "text",
-			RightTable: "right", RightColumn: "text",
-			Kind: "topk", K: 2,
-		}},
-		{Join: &JoinRequest{
-			LeftTable: "left", LeftColumn: "text",
-			RightTable: "right", RightColumn: "text",
-			Kind: "threshold", Threshold: &thr,
-		}, Limit: 5},
+	type shape struct {
+		req       QueryRequest
+		k         int
+		threshold float64
+	}
+	topk := &JoinRequest{
+		LeftTable: "left", LeftColumn: "text",
+		RightTable: "right", RightColumn: "text",
+		Kind: "topk", K: 2,
+	}
+	structured := &JoinRequest{
+		LeftTable: "left", LeftColumn: "text",
+		RightTable: "right", RightColumn: "text",
+		Kind: "threshold", Threshold: &thr,
+	}
+	shapes := []shape{
+		{QueryRequest{SQL: testQuery}, 0, 0.8},
+		{QueryRequest{SQL: testQuery, Limit: 3}, 0, 0.8},
+		{QueryRequest{Join: topk}, 2, -2},
+		{QueryRequest{Join: structured, Limit: 5}, 0, 0.8},
 	}
 	ctx := context.Background()
-	for i, req := range requests {
-		sres, err := stream.Query(ctx, req)
+	engines := make([]*Engine, len(blockRowsGrid))
+	for i, rows := range blockRowsGrid {
+		engines[i], _ = newTestEngine(t, Config{ExecBlockRows: rows})
+	}
+	ref := engines[0]
+	for i, sh := range shapes {
+		want, err := ref.Query(ctx, sh.req)
 		if err != nil {
-			t.Fatalf("request %d (streaming): %v", i, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
-		mres, err := mat.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("request %d (materializing): %v", i, err)
+		if len(want.Matches) == 0 {
+			t.Fatalf("request %d produced no matches; differential is vacuous", i)
 		}
-		if sres.Strategy != mres.Strategy || sres.Precision != mres.Precision {
-			t.Errorf("request %d: strategy/precision %s/%s vs %s/%s",
-				i, sres.Strategy, sres.Precision, mres.Strategy, mres.Precision)
-		}
-		if len(sres.Matches) != len(mres.Matches) {
-			t.Fatalf("request %d: %d matches streaming, %d materializing",
-				i, len(sres.Matches), len(mres.Matches))
-		}
-		for j := range sres.Matches {
-			if sres.Matches[j] != mres.Matches[j] {
-				t.Fatalf("request %d match %d: %+v vs %+v", i, j, sres.Matches[j], mres.Matches[j])
+		full := want
+		if sh.req.Limit > 0 {
+			if len(want.Matches) != sh.req.Limit {
+				t.Fatalf("request %d returned %d matches, want limit %d", i, len(want.Matches), sh.req.Limit)
+			}
+			unlimited := sh.req
+			unlimited.Limit = 0
+			if full, err = ref.Query(ctx, unlimited); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Matches {
+				if want.Matches[j] != full.Matches[j] {
+					t.Fatalf("request %d: limited match %d is %+v, full result has %+v", i, j, want.Matches[j], full.Matches[j])
+				}
 			}
 		}
-		if req.Limit > 0 && len(sres.Matches) > req.Limit {
-			t.Errorf("request %d returned %d matches over limit %d", i, len(sres.Matches), req.Limit)
+		prec, err := quant.ParsePrecision(full.Precision)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracleFor(t, ref, sh.k, sh.threshold).Check(full.Matches, prec); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		for b, e := range engines[1:] {
+			got, err := e.Query(ctx, sh.req)
+			if err != nil {
+				t.Fatalf("request %d (BlockRows=%d): %v", i, blockRowsGrid[b+1], err)
+			}
+			if got.Strategy != want.Strategy || got.Precision != want.Precision {
+				t.Errorf("request %d (BlockRows=%d): strategy/precision %s/%s, want %s/%s",
+					i, blockRowsGrid[b+1], got.Strategy, got.Precision, want.Strategy, want.Precision)
+			}
+			if len(got.Matches) != len(want.Matches) {
+				t.Fatalf("request %d (BlockRows=%d): %d matches, want %d", i, blockRowsGrid[b+1], len(got.Matches), len(want.Matches))
+			}
+			for j := range want.Matches {
+				if got.Matches[j] != want.Matches[j] {
+					t.Fatalf("request %d (BlockRows=%d) match %d: %+v, want %+v", i, blockRowsGrid[b+1], j, got.Matches[j], want.Matches[j])
+				}
+			}
+			if sh.req.Limit > 0 {
+				// Keep every engine's feedback history identical to the
+				// reference's, which also served the unlimited request.
+				if _, err := e.Query(ctx, QueryRequest{SQL: sh.req.SQL, Join: sh.req.Join}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 
-	// The /stats cardinality feedback must be byte-for-byte identical:
-	// same joins recorded, same q-errors, same regret — and the same
-	// requests *skipped* (a LIMIT that bites censors cardinality on both
-	// engines, not just the one that truncated the stream).
-	sd, md := stream.FeedbackDump(), mat.FeedbackDump()
-	if !reflect.DeepEqual(sd, md) {
-		t.Errorf("feedback diverged:\nstreaming:     %+v\nmaterializing: %+v", sd, md)
+	// The /stats cardinality feedback must be identical: same joins
+	// recorded, same q-errors, same regret — and the same requests
+	// *skipped* (a LIMIT that bites censors cardinality whatever the
+	// block size).
+	wd := ref.FeedbackDump()
+	for b, e := range engines[1:] {
+		if gd := e.FeedbackDump(); !reflect.DeepEqual(wd, gd) {
+			t.Errorf("feedback diverged at BlockRows=%d:\n got  %+v\n want %+v", blockRowsGrid[b+1], gd, wd)
+		}
 	}
-
-	sst, mst := stream.Stats(), mat.Stats()
-	if sst.Exec.StreamedQueries == 0 || sst.Exec.MaterializedQueries != 0 {
-		t.Errorf("streaming engine exec split = %+v", sst.Exec)
-	}
-	if mst.Exec.StreamedQueries != 0 || mst.Exec.MaterializedQueries == 0 {
-		t.Errorf("materializing engine exec split = %+v", mst.Exec)
-	}
-	if sst.Exec.TruncatedQueries == 0 {
+	st := ref.Stats()
+	if st.Exec.TruncatedQueries == 0 {
 		t.Error("limited requests truncated no streams")
 	}
-	if sst.Exec.Batches == 0 {
-		t.Error("streaming engine recorded no batches")
+	if st.Exec.Batches == 0 {
+		t.Error("engine recorded no batches")
 	}
 }
 
 // TestStreamingAdmissionWeight is the over-admission-starvation fix: a
-// streamed plan holds build-side + one block of the byte budget, not both
-// whole inputs, so the same budget admits several streamed queries where
-// it serialized materializing ones.
+// plan holds build-side + one block of the byte budget, not both whole
+// inputs, so a budget admits several queries that whole-input charging
+// would have serialized.
 func TestStreamingAdmissionWeight(t *testing.T) {
 	// A large probe side against a small build side — the shape streaming
-	// exists for. The materializing estimate charges for both whole
-	// inputs; the streamed one charges build + one block.
-	const probeRows, buildRows = 600, 60
+	// exists for.
+	const probeRows, buildRows, dim = 600, 60, 64
 	registerAsym := func(e *Engine) {
 		for _, side := range []struct {
 			name string
@@ -126,38 +182,33 @@ func TestStreamingAdmissionWeight(t *testing.T) {
 		Kind: "threshold", Threshold: &thr,
 	}}
 
-	// Measure both weights under an effectively unbounded budget (no
-	// clamping), on twin engines over identical tables.
-	stream, mat := twinEngines(t, Config{ExecBlockRows: 16})
-	registerAsym(stream)
-	registerAsym(mat)
+	// Measure the weight under an effectively unbounded budget (no
+	// clamping), against the float32 embedding bytes of both whole inputs.
+	e, _ := newTestEngine(t, Config{ExecBlockRows: 16})
+	registerAsym(e)
 	ctx := context.Background()
-	sres, err := stream.Query(ctx, asymQuery)
+	res, err := e.Query(ctx, asymQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := mat.Query(ctx, asymQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wStream, wMat := sres.AdmittedBytes, mres.AdmittedBytes
-	if wStream <= 0 || wMat <= 0 {
-		t.Fatalf("weights: streaming %d, materializing %d", wStream, wMat)
+	wStream, wMat := res.AdmittedBytes, int64((probeRows+buildRows)*dim*4)
+	if wStream <= 0 {
+		t.Fatalf("weight %d", wStream)
 	}
 	if wStream*4 > wMat {
-		t.Fatalf("streamed weight %d not >= 4x lighter than materializing %d", wStream, wMat)
+		t.Fatalf("weight %d not >= 4x lighter than the whole inputs' %d bytes", wStream, wMat)
 	}
 
 	// Concurrency arithmetic under a shared budget sized for exactly four
-	// streamed queries: the materializing estimate admits at most one at
-	// a time (it exceeds the budget and is clamped to run alone).
+	// queries: whole-input charging would admit at most one at a time (it
+	// exceeds the budget and is clamped to run alone).
 	budget := 4 * wStream
 	if admitted := budget / wMat; admitted != 0 {
-		t.Fatalf("budget %d fits %d materializing queries; test needs 0 (clamped, runs alone)", budget, admitted)
+		t.Fatalf("budget %d fits %d whole-input queries; test needs 0 (clamped, runs alone)", budget, admitted)
 	}
 
-	// And empirically: four concurrent streamed queries under that budget
-	// all admit without a single wait.
+	// And empirically: four concurrent queries under that budget all
+	// admit without a single wait.
 	e4, _ := newTestEngine(t, Config{ExecBlockRows: 16, AdmissionBytes: budget, MaxConcurrent: 8})
 	registerAsym(e4)
 	// Warm the corpus first so the concurrent round is compute-light.
@@ -181,12 +232,12 @@ func TestStreamingAdmissionWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	if waits := e4.Stats().AdmissionWaits; waits != 0 {
-		t.Errorf("4 streamed queries under a 4-query budget waited %d times, want 0", waits)
+		t.Errorf("4 queries under a 4-query budget waited %d times, want 0", waits)
 	}
 }
 
 // TestStreamingMetricsFamilies requires the exec metric families in the
-// exposition after streamed and limited queries.
+// exposition after plain and limited queries.
 func TestStreamingMetricsFamilies(t *testing.T) {
 	e, _ := newTestEngine(t, Config{ExecBlockRows: 16})
 	ctx := context.Background()
@@ -202,7 +253,6 @@ func TestStreamingMetricsFamilies(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"ejoin_exec_streamed_queries_total 2",
 		"ejoin_exec_truncated_queries_total 1",
 		"ejoin_exec_batches_total",
 		"ejoin_exec_rows_early_out_total",

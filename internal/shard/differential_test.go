@@ -20,6 +20,7 @@ import (
 
 	"ejoin/internal/cost"
 	"ejoin/internal/model"
+	"ejoin/internal/oracle"
 	"ejoin/internal/quant"
 	"ejoin/internal/relational"
 	"ejoin/internal/service"
@@ -292,23 +293,91 @@ func TestShardDifferentialTensor(t *testing.T) {
 	runDifferential(t, cfg, wideGrid(), diffRequests(), true)
 }
 
-// TestShardDifferentialNaiveFallback pins the one non-streamable
-// strategy: every fan-out pair falls back to the materializing executor
-// and its whole result enters the merge as one pre-mapped block.
-func TestShardDifferentialNaiveFallback(t *testing.T) {
-	reqs := []service.QueryRequest{
-		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"},
-		{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85", Limit: 7},
+// oracleCheck checks a full (unlimited) threshold result against the
+// brute-force oracle over the reference engine's own tables.
+func oracleCheck(t *testing.T, ref *service.Engine, res *service.QueryResult, threshold float64) {
+	t.Helper()
+	m, err := model.NewHashEmbedder(32)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runDifferential(t, forcedCfg(t, cost.StrategyNaiveNLJ), wideGrid(), reqs, true)
+	side := func(name, col string) oracle.Side {
+		tbl, ok := ref.Catalog().Get(name)
+		if !ok {
+			t.Fatalf("no table %q", name)
+		}
+		return oracle.Side{Table: tbl, TextColumn: col}
+	}
+	want, err := oracle.Run(oracle.Join{Left: side("l", "word"), Right: side("r", "term"), Model: m, Threshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prec, err := quant.ParsePrecision(res.Precision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Check(res.Matches, prec); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestShardDifferentialMaterializeExec forces the engines' legacy
-// materializing executor on both sides of the comparison.
-func TestShardDifferentialMaterializeExec(t *testing.T) {
-	cfg := diffConfig(t)
-	cfg.MaterializeExec = true
-	runDifferential(t, cfg, wideGrid(), diffRequests(), false)
+// blockRowsGrid is the block-invariance grid: one-row blocks, an odd
+// size, the harness default, and one block holding the whole probe side.
+var blockRowsGrid = []int{1, 7, 16, diffProbeRows}
+
+// assertBlockInvariant serves req on b(rows) for every block size of the
+// grid and requires byte-identical matches (and, for unlimited requests,
+// identical model calls and comparisons). It returns the first result.
+func assertBlockInvariant(t *testing.T, req service.QueryRequest, b func(rows int) backend) *service.QueryResult {
+	t.Helper()
+	var want *service.QueryResult
+	for _, rows := range blockRowsGrid {
+		got, err := b(rows).Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		label := "BlockRows=" + strconv.Itoa(rows)
+		assertSameMatches(t, label, want, got)
+		if req.Limit == 0 && (got.Stats.ModelCalls != want.Stats.ModelCalls || got.Stats.Comparisons != want.Stats.Comparisons) {
+			t.Errorf("%s: model calls/comparisons %d/%d, want %d/%d", label,
+				got.Stats.ModelCalls, got.Stats.Comparisons, want.Stats.ModelCalls, want.Stats.Comparisons)
+		}
+	}
+	return want
+}
+
+// TestShardDifferentialNaiveFallback pins the naive strategy: every
+// fan-out pair runs the per-pair probe against its build shard's resident
+// texts. The unsharded result is checked against the oracle, paying two
+// model calls per compared pair, and is invariant under the block size.
+func TestShardDifferentialNaiveFallback(t *testing.T) {
+	const sql = "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"
+	reqs := []service.QueryRequest{{SQL: sql}, {SQL: sql, Limit: 7}}
+	cfg := forcedCfg(t, cost.StrategyNaiveNLJ)
+	runDifferential(t, cfg, wideGrid(), reqs, true)
+
+	var ref *service.Engine
+	engine := func(rows int) backend {
+		c := cfg
+		c.ExecBlockRows = rows
+		ref = newUnsharded(t, c, loadCorpus)
+		return ref
+	}
+	full := assertBlockInvariant(t, reqs[0], engine)
+	oracleCheck(t, ref, full, 0.85)
+	if full.Stats.ModelCalls != 2*full.Stats.Comparisons {
+		t.Errorf("naive model calls %d, want 2 per compared pair (%d)", full.Stats.ModelCalls, 2*full.Stats.Comparisons)
+	}
+	limited := assertBlockInvariant(t, reqs[1], engine)
+	for i, m := range limited.Matches {
+		if m != full.Matches[i] {
+			t.Fatalf("limit prefix diverged at %d: %+v vs %+v", i, m, full.Matches[i])
+		}
+	}
 }
 
 // TestShardDifferentialIndex forces the index strategy: each shard builds
@@ -554,6 +623,16 @@ func TestShardLimitEarlyOut(t *testing.T) {
 	if st := rLim.Stats(); st.TruncatedQueries == 0 {
 		t.Error("truncated fan-out not counted")
 	}
+
+	// The full fan-out agrees with the oracle, and the limited one is the
+	// same prefix whatever the block size.
+	oracleCheck(t, newUnsharded(t, diffConfig(t), loadCorpus), resFull, 0.2)
+	got := assertBlockInvariant(t, service.QueryRequest{SQL: sql, Limit: 2}, func(rows int) backend {
+		cfg := diffConfig(t)
+		cfg.ExecBlockRows = rows
+		return newRouter(t, cfg, 4, "hash", loadCorpus)
+	})
+	assertSameMatches(t, "limited fan-out", resLim, got)
 }
 
 // cancelAfterModel cancels a context after n embeddings, interrupting

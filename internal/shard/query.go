@@ -120,9 +120,8 @@ func (r *Router) pinSide(ref plan.TableRef) (*sideState, error) {
 
 // pairExec is one probe-shard x build-shard unit of a fan-out.
 type pairExec struct {
-	s, t       int // probe (outer) and build (inner) shard indexes
-	j          *plan.EJoin
-	streamable bool
+	s, t int // probe (outer) and build (inner) shard indexes
+	j    *plan.EJoin
 }
 
 func (r *Router) query(ctx context.Context, req service.QueryRequest, start time.Time) (*service.QueryResult, error) {
@@ -242,20 +241,16 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 			if probe.refs[s].Table.NumRows() == 0 || build.refs[t].Table.NumRows() == 0 {
 				continue
 			}
-			execs = append(execs, pairExec{s: s, t: t, j: jp, streamable: !ecfg.MaterializeExec && plan.Streamable(jp)})
+			execs = append(execs, pairExec{s: s, t: t, j: jp})
 		}
 	}
 
 	// Admission prices the fan-out as one unit: the sum of every pair's
-	// streaming footprint, clamped like the engine clamps one giant join.
+	// footprint, clamped like the engine clamps one giant join.
 	var weight int64
 	for _, pe := range execs {
 		dim := r.footprintDim(probe.refs[pe.s], build.refs[pe.t])
-		if pe.streamable {
-			weight += plan.EstimateFootprintStreaming(pe.j, dim, r.exec.Options, r.exec.BlockRows)
-		} else {
-			weight += plan.EstimateFootprint(pe.j, dim, r.exec.Options)
-		}
+		weight += plan.EstimateFootprint(pe.j, dim, r.exec.Options, r.exec.BlockRows)
 	}
 	if weight > ecfg.AdmissionBytes {
 		weight = ecfg.AdmissionBytes
@@ -263,7 +258,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	sp.Attr("pairs", int64(len(execs))).Attr("weight_bytes", weight).End()
 
 	sp = tr.StartSpan("admit")
-	release, waited, err := r.admit(ctx, weight)
+	release, waited, err := r.admission.Admit(ctx, weight)
 	if err != nil {
 		sp.End()
 		r.counters.rejected.Add(1)
@@ -283,12 +278,12 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	defer pcancel()
 
 	// Scatter: evaluate each build shard's inner side once (shared across
-	// that shard's column of streamable pairs — same snapshot, same
-	// rewritten subtree), then launch one producer per pair.
+	// that shard's column of pairs — same snapshot, same rewritten
+	// subtree), then launch one producer per pair.
 	sp = tr.StartSpan("shard.fanout")
 	buildPlans := make([]*plan.EJoin, r.nshards)
 	for _, pe := range execs {
-		if pe.streamable && buildPlans[pe.t] == nil {
+		if buildPlans[pe.t] == nil {
 			buildPlans[pe.t] = pe.j
 		}
 	}
@@ -345,20 +340,6 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 				case <-pctx.Done():
 					return false
 				}
-			}
-			if !pe.streamable {
-				// Naive (or forced-materializing) pairs evaluate their own
-				// build side; their result stats are self-contained.
-				res, err := r.exec.Execute(pctx, pe.j)
-				if err != nil {
-					send(pairMsg{err: err})
-					return
-				}
-				results[i], pairElapsed[i] = res, time.Since(t0)
-				if len(res.Matches) > 0 {
-					send(pairMsg{blk: mapBlock(res.Matches, lmap, rmap)})
-				}
-				return
 			}
 			st, err := r.exec.OpenStream(pctx, pe.j, builds[pe.t], pairLimit)
 			if err != nil {
@@ -438,8 +419,7 @@ func (r *Router) query(ctx context.Context, req service.QueryRequest, start time
 	}
 
 	// Aggregate work: every pair's probe-side stats, plus each shared
-	// build's embedding work exactly once (naive pairs already carry their
-	// own build work inside their result).
+	// build's embedding work exactly once.
 	var agg core.Stats
 	for i := range execs {
 		res := results[i]
@@ -567,30 +547,6 @@ func (r *Router) footprintDim(refs ...plan.TableRef) int {
 		}
 	}
 	return dim
-}
-
-// admit acquires one execution slot then the byte budget, mirroring the
-// engine's ordering (slots bound CPU oversubscription, bytes bound memory).
-func (r *Router) admit(ctx context.Context, weight int64) (release func(), waited bool, err error) {
-	select {
-	case r.slots <- struct{}{}:
-	default:
-		waited = true
-		select {
-		case r.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("shard: admission wait aborted: %w", ctx.Err())
-		}
-	}
-	bytesWaited, err := r.bytes.Acquire(ctx, weight)
-	if err != nil {
-		<-r.slots
-		return nil, waited || bytesWaited, err
-	}
-	return func() {
-		r.bytes.Release(weight)
-		<-r.slots
-	}, waited || bytesWaited, nil
 }
 
 // resolve turns the request into a bound plan.Query against the router's

@@ -60,12 +60,11 @@ type Router struct {
 	// overwritten; the router's own swap rule honors this saved value.
 	noReorder bool
 
-	exec  *plan.Executor
-	opt   *plan.Optimizer
-	cat   *sqlish.Catalog // schema-only empty tables, for binding
-	plans *routerPlanCache
-	slots chan struct{}
-	bytes *byteSemaphore
+	exec      *plan.Executor
+	opt       *plan.Optimizer
+	cat       *sqlish.Catalog // schema-only empty tables, for binding
+	plans     *routerPlanCache
+	admission *service.Admission
 
 	mu     sync.Mutex // serializes mutations and manifest writes
 	tables map[string]*tableMeta
@@ -170,8 +169,7 @@ func Open(cfg Config) (*Router, error) {
 		noReorder: cfg.Engine.DisableReorder,
 		cat:       sqlish.NewCatalog(),
 		plans:     newRouterPlanCache(ecfg.PlanCacheSize),
-		slots:     make(chan struct{}, ecfg.MaxConcurrent),
-		bytes:     newByteSemaphore(ecfg.AdmissionBytes),
+		admission: service.NewAdmission(ecfg.MaxConcurrent, ecfg.AdmissionBytes),
 		tables:    make(map[string]*tableMeta),
 		start:     time.Now(),
 	}
@@ -814,8 +812,8 @@ func (r *Router) Stats() RouterStats {
 		Rejected:         c.rejected.Load(),
 		InFlight:         c.inFlight.Load(),
 		AdmissionWaits:   c.admissionWaits.Load(),
-		AdmittedBytes:    r.bytes.InUse(),
-		AdmissionWaiting: r.bytes.Waiting(),
+		AdmittedBytes:    r.admission.InUse(),
+		AdmissionWaiting: r.admission.Waiting(),
 		PlanCacheHits:    hits,
 		PlanCacheMisses:  misses,
 		PlanCacheEntries: entries,
@@ -905,6 +903,11 @@ func (r *Router) recordExecution(strategy string, s core.Stats) {
 // concatenated here — duplicate family names would corrupt the
 // exposition; per-shard engine detail lives in /stats.
 func (r *Router) WriteMetrics(w io.Writer) error {
+	// Query bumps counters.queries before it observes latency, so the
+	// histograms are copied before the Stats() snapshot: every latency
+	// sample a scrape shows then belongs to a query its queries_total
+	// already counts.
+	latency, byShard := r.obs.latency.Clone(), r.obs.byShard.Clone()
 	st := r.Stats()
 	mw := obs.NewMetricsWriter(w)
 
@@ -929,9 +932,9 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	}
 
 	mw.Histogram("ejoin_shard_query_duration_seconds",
-		"End-to-end latency of router-served queries.", &r.obs.latency)
+		"End-to-end latency of router-served queries.", latency)
 	mw.HistogramVec("ejoin_shard_pair_duration_seconds",
-		"Per-shard stream latency within fan-outs.", "shard", &r.obs.byShard)
+		"Per-shard stream latency within fan-outs.", "shard", byShard)
 	return mw.Err()
 }
 

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ejoin/internal/service"
@@ -115,4 +118,74 @@ func TestRouterStatsSchemaGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("router stats schema drifted from %s (run with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+}
+
+// TestRouterMetricsScrapeConcurrent: one router exposition must never
+// count a query in the latency histogram that queries_total does not
+// show yet (Query bumps the counter before it observes latency, so the
+// scrape must read the histogram first).
+func TestRouterMetricsScrapeConcurrent(t *testing.T) {
+	cfg := diffConfig(t)
+	cfg.DisableTracing = true
+	r := newRouter(t, cfg, 2, "hash", loadCorpus)
+	ctx := context.Background()
+	req := service.QueryRequest{SQL: "SELECT * FROM l JOIN r ON SIM(l.word, r.term) >= 0.85"}
+	if _, err := r.Query(ctx, req); err != nil {
+		t.Fatal(err) // warm the store: the loop below is compute-light
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	defer func() {
+		close(done)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := r.Query(ctx, req); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		var buf bytes.Buffer
+		if err := r.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		queries := scrapeValue(t, buf.String(), "ejoin_shard_queries_total")
+		count := scrapeValue(t, buf.String(), "ejoin_shard_query_duration_seconds_count")
+		if count > queries {
+			t.Fatalf("scrape %d: ejoin_shard_query_duration_seconds_count %v > ejoin_shard_queries_total %v", i, count, queries)
+		}
+	}
+}
+
+// scrapeValue returns the value of an unlabelled sample in an exposition.
+func scrapeValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s sample", name)
+	return 0
 }
